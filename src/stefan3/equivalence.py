@@ -3,9 +3,12 @@
 Any solved problem fixes a surface temperature and a surface-flux
 coefficient, and each mapping reads off the datum that would make another
 boundary condition reproduce the identical temperature field.  Every
-mapping therefore solves its source problem first, checks the inequality
-guaranteeing the target datum is admissible, then solves the target
-problem so the caller can see the front coefficients agree.
+mapping therefore takes its source problem's solution, checks the
+inequality guaranteeing the target datum is admissible, then solves the
+target problem so the caller can see the front coefficients agree.  The
+source is solved once per context: ``solve`` records its front
+coefficients on the context, so a source the caller has already solved
+is not solved again.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .model import Dirichlet, Neumann, Robin, Violation
 from .transcendental import ProblemContext, find_root_monotone
 from .solver import (
     ThreePhaseSolution,
+    solve,
     solve_dirichlet,
     solve_neumann,
     solve_robin,
@@ -100,9 +104,27 @@ def _report(src, tgt, datum_name, value, checks) -> EquivalenceReport:
     )
 
 
+_SOURCE_NEEDS = {
+    Robin: "exchange heat by convection",
+    Dirichlet: "impose a temperature",
+    Neumann: "impose a flux",
+}
+
+
+def _require_source(ctx: ProblemContext, kind: type) -> None:
+    if not isinstance(ctx.bc, kind):
+        raise MissingBoundaryDatum(f"source problem must {_SOURCE_NEEDS[kind]}")
+
+
+def _source(ctx: ProblemContext, kind: type) -> ThreePhaseSolution:
+    # the source's own solution, solved at most once per context
+    _require_source(ctx, kind)
+    return solve(ctx)
+
+
 def robin_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a convective datum (h0, A_inf)."""
-    src = solve_robin(ctx)
+    src = _source(ctx, Robin)
     a = src.surface_temp
     check = _checked(HypothesisCheck("mapped_A_above_B", a, ctx.temps.B))
     tgt = solve_dirichlet(ctx.with_bc(Dirichlet(A=a)))
@@ -117,8 +139,7 @@ def dirichlet_to_robin(
     The bulk temperature is free, so it must be supplied; any a_inf above A
     works and each choice gives a different but equivalent h0.
     """
-    if not isinstance(ctx.bc, Dirichlet):
-        raise MissingBoundaryDatum("source problem must impose a temperature")
+    _require_source(ctx, Dirichlet)
     if a_inf is None:
         raise MissingBoundaryDatum(
             "mapping to a convective condition needs a bulk temperature A_inf"
@@ -133,7 +154,7 @@ def dirichlet_to_robin(
                 )
             ]
         )
-    src = solve_dirichlet(ctx)
+    src = solve(ctx)
     p, t = ctx.props, ctx.temps
     h0 = (
         p.k3
@@ -152,7 +173,7 @@ def dirichlet_to_robin(
 
 def dirichlet_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     """Flux coefficient equivalent to an imposed temperature A."""
-    src = solve_dirichlet(ctx)
+    src = _source(ctx, Dirichlet)
     q0 = src.flux_coef
     check = _checked(HypothesisCheck("mapped_q0_above_q2", q0, src.thresh.q2))
     tgt = solve_neumann(ctx.with_bc(Neumann(q0=q0)))
@@ -161,7 +182,7 @@ def dirichlet_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
 
 def neumann_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a flux coefficient q0."""
-    src = solve_neumann(ctx)
+    src = _source(ctx, Neumann)
     a = src.surface_temp
     check = _checked(HypothesisCheck("mapped_A_above_B", a, ctx.temps.B))
     tgt = solve_dirichlet(ctx.with_bc(Dirichlet(A=a)))
@@ -170,7 +191,7 @@ def neumann_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
 
 def robin_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     """Flux coefficient equivalent to a convective datum (h0, A_inf)."""
-    src = solve_robin(ctx)
+    src = _source(ctx, Robin)
     q0 = src.flux_coef
     check = _checked(HypothesisCheck("mapped_q0_above_q2", q0, src.thresh.q2))
     tgt = solve_neumann(ctx.with_bc(Neumann(q0=q0)))
@@ -185,8 +206,7 @@ def neumann_to_robin(
     Needs a bulk temperature strictly above the surface temperature the
     flux induces; below that no positive h0 can reproduce the field.
     """
-    if not isinstance(ctx.bc, Neumann):
-        raise MissingBoundaryDatum("source problem must impose a flux")
+    _require_source(ctx, Neumann)
     if a_inf is None:
         raise MissingBoundaryDatum(
             "mapping to a convective condition needs a bulk temperature A_inf"
@@ -195,7 +215,7 @@ def neumann_to_robin(
         raise ValidationError(
             [Violation("BULK_NOT_ABOVE_B", "A_inf must exceed B")]
         )
-    src = solve_neumann(ctx)
+    src = solve(ctx)
     denom = a_inf - src.surface_temp
     if denom <= 0.0:
         raise ValidationError(

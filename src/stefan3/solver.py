@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from . import specfun
 from .errors import MissingBoundaryDatum, RegimeError, ValidationError
@@ -29,9 +29,8 @@ from .transcendental import (
     find_root_monotone,
     p_func,
     q_func,
-    t_func,
     u_func,
-    v_func,
+    v_func_times_erf,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -112,11 +111,14 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
     return Thresholds(z0=z0, q1=q1, q2=q2, h1=h1, h2=h2)
 
 
-def classify_regime(ctx: ProblemContext) -> Regime:
+def classify_regime(
+    ctx: ProblemContext, th: Optional[Thresholds] = None
+) -> Regime:
     """Regime reached under the context's boundary datum.
 
     The comparison is sharp: a datum exactly at a threshold falls in the
-    milder regime.
+    milder regime.  ``th`` passes in the context's thresholds when the
+    caller has them already.
     """
     bc = ctx.bc
     if bc is None:
@@ -124,7 +126,8 @@ def classify_regime(ctx: ProblemContext) -> Regime:
     if isinstance(bc, Dirichlet):
         # an imposed surface temperature above B always melts both ways
         return Regime.THREE_PHASE
-    th = thresholds(ctx)
+    if th is None:
+        th = thresholds(ctx)
     if isinstance(bc, Robin):
         datum, first, second = bc.h0, th.h1, th.h2
     else:
@@ -184,7 +187,9 @@ class ThreePhaseSolution:
         return out
 
 
-def _build_solution(ctx: ProblemContext, coef1: float, coef2: float) -> ThreePhaseSolution:
+def _build_solution(
+    ctx: ProblemContext, coef1: float, coef2: float, th: Thresholds
+) -> ThreePhaseSolution:
     bc = ctx.bc
     p = ctx.props
     a3 = ctx.alpha3
@@ -210,18 +215,20 @@ def _build_solution(ctx: ProblemContext, coef1: float, coef2: float) -> ThreePha
         surface_temp=surface,
         flux_coef=flux_coef,
         regime=Regime.THREE_PHASE,
-        thresh=thresholds(ctx),
+        thresh=th,
     )
 
 
-def _require_three_phase(ctx: ProblemContext) -> None:
-    regime = classify_regime(ctx)
+def _three_phase_thresholds(ctx: ProblemContext) -> Thresholds:
+    th = thresholds(ctx)
+    regime = classify_regime(ctx, th)
     if regime is not Regime.THREE_PHASE:
         raise RegimeError(
             regime,
             f"boundary datum only sustains the {regime.value} regime; "
             "no second front forms",
         )
+    return th
 
 
 def _outer_bracket(ctx: ProblemContext) -> tuple[float, float]:
@@ -230,59 +237,69 @@ def _outer_bracket(ctx: ProblemContext) -> tuple[float, float]:
     return ctx.z0 + 1e-12, max(ctx.z0, 1.0)
 
 
+def _solve_outer(
+    ctx: ProblemContext, residual: Callable[[float], float], tol: float
+) -> ThreePhaseSolution:
+    # classify, find coef1, and record the root on the context for solve()
+    th = _three_phase_thresholds(ctx)
+    lo, hi = _outer_bracket(ctx)
+    coef1 = find_root_monotone(residual, lo, hi, tol)
+    coefs = ctx.roots[tol] = (coef1, coef2_from_coef1(coef1, ctx))
+    return _build_solution(ctx, *coefs, th)
+
+
 def solve_robin(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """Solve under convective surface exchange.
 
     Raises:
         MissingBoundaryDatum: Context has no convective datum.
         RegimeError: h0 is at or below the two-phase threshold.
-        RootFailure: The bracketed search failed (not expected for valid
-            three-phase data).
+        RootFailure: The bracketed search failed (seen for data within
+            about 1e-12 of the threshold, see _outer_bracket).
     """
     if not isinstance(ctx.bc, Robin):
         raise MissingBoundaryDatum("solve_robin needs h0 and A_inf")
-    _require_three_phase(ctx)
-    lo, hi = _outer_bracket(ctx)
-    coef1 = find_root_monotone(
-        lambda z: q_func(z, ctx) - u_func(z, ctx), lo, hi, tol
-    )
-    return _build_solution(ctx, coef1, coef2_from_coef1(coef1, ctx))
+    return _solve_outer(ctx, lambda z: q_func(z, ctx) - u_func(z, ctx), tol)
 
 
 def solve_dirichlet(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """Solve under an imposed surface temperature A > B."""
     if not isinstance(ctx.bc, Dirichlet):
         raise MissingBoundaryDatum("solve_dirichlet needs a surface temperature")
-    _require_three_phase(ctx)
 
     def f(z: float) -> float:
-        m = coef2_from_coef1(z, ctx)
-        if m <= 0.0:
-            return -1e300  # limiting value just above z0
-        return q_func(z, ctx) - v_func(m, ctx)
+        # q_func(z) - v_func(m) times erf(m*sigma3) > 0: the same sign and
+        # root, still increasing, and finite at v_func's pole m = 0
+        m = max(coef2_from_coef1(z, ctx), 0.0)
+        return specfun.erf(m * ctx.sigma3) * q_func(z, ctx) - v_func_times_erf(
+            m, ctx
+        )
 
-    lo, hi = _outer_bracket(ctx)
-    coef1 = find_root_monotone(f, lo, hi, tol)
-    return _build_solution(ctx, coef1, coef2_from_coef1(coef1, ctx))
+    return _solve_outer(ctx, f, tol)
 
 
 def solve_neumann(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """Solve under an imposed surface flux q0/sqrt(t)."""
     if not isinstance(ctx.bc, Neumann):
         raise MissingBoundaryDatum("solve_neumann needs a flux coefficient")
-    _require_three_phase(ctx)
 
     def f(z: float) -> float:
         m = coef2_from_coef1(z, ctx)
         return q_func(z, ctx) - p_func(max(m, 0.0), ctx)
 
-    lo, hi = _outer_bracket(ctx)
-    coef1 = find_root_monotone(f, lo, hi, tol)
-    return _build_solution(ctx, coef1, coef2_from_coef1(coef1, ctx))
+    return _solve_outer(ctx, f, tol)
 
 
 def solve(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
-    """Dispatch to the solver matching the context's boundary datum."""
+    """Solve under the context's boundary datum.
+
+    Dispatches to the solver matching the datum's kind.  A context is
+    solved once per tolerance: later calls rebuild the solution from the
+    front coefficients recorded on the context, bit for bit.
+    """
+    coefs = ctx.roots.get(tol)
+    if coefs is not None:
+        return _build_solution(ctx, *coefs, thresholds(ctx))
     bc = ctx.bc
     if isinstance(bc, Robin):
         return solve_robin(ctx, tol)
@@ -389,5 +406,5 @@ def perturbed(
     negative controls.
     """
     return _build_solution(
-        sol.ctx, sol.coef1 * (1.0 + eps1), sol.coef2 * (1.0 + eps2)
+        sol.ctx, sol.coef1 * (1.0 + eps1), sol.coef2 * (1.0 + eps2), sol.thresh
     )

@@ -9,7 +9,8 @@ functions of the front coefficients.  The key objects are:
   through ``coef2_from_coef1``, the inner coefficient matched to an outer
   one.
 * ``q_func`` and the boundary-specific ``t_func``/``v_func``/``p_func``:
-  the two sides of the single remaining equation for the outer coefficient.
+  the two sides of the single remaining equation for the outer coefficient
+  (``v_func_times_erf`` is ``v_func`` without its pole).
 
 All are parameterized by an immutable ProblemContext so repeated evaluation
 during root finding allocates nothing.
@@ -40,13 +41,26 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # exp() saturation guard: bracket doubling can probe arguments far past the
 # root, where the true value overflows float64.  Saturating keeps the sign
-# information the bisection needs without raising OverflowError.
+# information the root search needs without raising OverflowError.
 _EXP_CAP = 690.0
 
 # Substitute inverse when the complementary tail underflows to zero; far
 # beyond any value reachable from a finite tail (erfc_inv of the smallest
 # subnormal is about 26.6).
 _INNER_SATURATION = 30.0
+
+# The root search may stop once its bracket is this narrow.
+_XTOL = 1e-14
+
+# Steps the root search may take beyond bisection's count on its way to an
+# _XTOL-wide bracket; they are the room its interpolation steps get.
+_SLACK_STEPS = 4
+
+# Cached values of a context that depend on the material and temperatures
+# alone, so a context under another boundary datum can inherit them.
+_MATERIAL_CACHE = (
+    "alphas", "ste1", "ste2", "sigma2", "sigma3", "_h_offset_coef", "z0",
+)
 
 
 def _exp_capped(x: float) -> float:
@@ -58,8 +72,9 @@ class ProblemContext:
     """Validated, immutable bundle of one problem's data.
 
     Construction runs the full model validation, so any context that exists
-    describes a well-posed problem.  Derived constants and the zero ``z0``
-    are computed once and cached on the instance.
+    describes a well-posed problem.  Derived constants, the zero ``z0`` and
+    the solver's front coefficients are computed once and cached on the
+    instance.
     """
 
     props: MaterialProperties
@@ -115,14 +130,28 @@ class ProblemContext:
 
     @cached_property
     def z0(self) -> float:
-        """Unique positive zero of h_func, found by bracketed bisection."""
+        """Unique positive zero of h_func, found by find_root_monotone."""
         return find_root_monotone(
             lambda z: h_func(z, self), 0.0, hi_start=1.0, tol=1e-13
         )
 
+    @cached_property
+    def roots(self) -> dict[float, tuple[float, float]]:
+        """Solved (coef1, coef2) by solve tolerance, filled in by the solver."""
+        return {}
+
     def with_bc(self, bc: Optional[BoundarySpec]) -> "ProblemContext":
-        """Same material and temperatures under another boundary datum."""
-        return ProblemContext(self.props, self.temps, bc)
+        """Same material and temperatures under another boundary datum.
+
+        The new context is validated in full and inherits every
+        material-only value this one has already computed, z0 included.
+        """
+        ctx = ProblemContext(self.props, self.temps, bc)
+        mine, theirs = vars(self), vars(ctx)
+        for name in _MATERIAL_CACHE:
+            if name in mine:
+                theirs[name] = mine[name]
+        return ctx
 
 
 def phi(z: float, ctx: ProblemContext) -> float:
@@ -209,6 +238,16 @@ def _neumann_datum(ctx: ProblemContext) -> Neumann:
     return ctx.bc
 
 
+def _surface_coef(surface: float, ctx: ProblemContext) -> float:
+    # the surface temperature's excess over B in the outer equation's units
+    p = ctx.props
+    return (
+        (surface - ctx.temps.B)
+        / (p.l2 * _SQRT_PI)
+        * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
+    )
+
+
 def t_func(z: float, ctx: ProblemContext) -> float:
     """Right side of the outer equation for the convective condition.
 
@@ -217,13 +256,9 @@ def t_func(z: float, ctx: ProblemContext) -> float:
     if z < 0.0:
         raise ValueError("t_func is defined for z >= 0")
     bc = _robin_datum(ctx)
-    p, t = ctx.props, ctx.temps
+    p = ctx.props
     a1, a2, a3 = ctx.alphas
-    coef = (
-        (bc.A_inf - t.B)
-        / (p.l2 * _SQRT_PI)
-        * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
-    )
+    coef = _surface_coef(bc.A_inf, ctx)
     khat = p.k3 / (bc.h0 * math.sqrt(math.pi * a3))
     decay = math.exp(-z * z * (a1 / a3 - a1 / a2))
     return coef * decay / (khat + specfun.erf(z * ctx.sigma3)) - z * _exp_capped(
@@ -238,16 +273,24 @@ def v_func(z: float, ctx: ProblemContext) -> float:
     """
     if z <= 0.0:
         raise ValueError("v_func is defined for z > 0")
+    return v_func_times_erf(z, ctx) / specfun.erf(z * ctx.sigma3)
+
+
+def v_func_times_erf(z: float, ctx: ProblemContext) -> float:
+    """v_func(z) * erf(z * sigma3), which is finite where v_func has its pole.
+
+    Strictly decreasing on z >= 0 from its positive value at 0, so the
+    imposed-temperature equation can be solved in this form without a
+    sentinel for the pole.
+    """
+    if z < 0.0:
+        raise ValueError("v_func_times_erf is defined for z >= 0")
     bc = _dirichlet_datum(ctx)
-    p, t = ctx.props, ctx.temps
     a1, a2, a3 = ctx.alphas
-    coef = (
-        (bc.A - t.B) / (p.l2 * _SQRT_PI) * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
-    )
-    decay = math.exp(-z * z * (a1 / a3 - a1 / a2))
-    return coef * decay / specfun.erf(z * ctx.sigma3) - z * _exp_capped(
+    coef = _surface_coef(bc.A, ctx)
+    return coef * math.exp(-z * z * (a1 / a3 - a1 / a2)) - z * _exp_capped(
         z * z * a1 / a2
-    )
+    ) * specfun.erf(z * ctx.sigma3)
 
 
 def p_func(z: float, ctx: ProblemContext) -> float:
@@ -282,13 +325,31 @@ def find_root_monotone(
     hi_start: Optional[float] = None,
     tol: float = 1e-12,
 ) -> float:
-    """Root of a monotone function by sign-preserving bisection.
+    """Root of a monotone function by a sign-bracketed interpolation search.
 
     The upper bracket starts at ``hi_start`` (default ``max(lo, 1)``) and is
-    doubled until the sign changes, at most 200 times.  Bisection then runs
-    until the bracket is at most 1e-14 wide and the midpoint residual is at
-    most ``tol``, or until float spacing cannot split the bracket further.
-    Pure bisection keeps the result bit-reproducible across platforms.
+    doubled until the sign changes, at most 200 times; the last end that
+    did not change sign becomes the lower end.  The search then keeps a
+    bracket on which f changes sign.  Each step interpolates the
+    inverse of f through the last three points (a secant through the
+    bracket ends when that falls outside it) and takes the midpoint instead
+    when the step is not below half the one before last, as Brent (1973)
+    does.  An estimate closer than 5e-15 to the better end moves to 5e-15
+    from it, toward the other end, so converging estimates move the far
+    end too and the bracket closes.  Each point is then projected onto a
+    shrinking interval around the midpoint, as in the ITP method (Oliveira
+    and Takahashi, ACM TOMS 47(1), 2020).  That projection is the
+    worst-case bound: where bisection needs n steps to narrow the bracket
+    to 1e-14, this search needs at most n + 4, however f behaves.
+
+    The search stops when the bracket is at most 1e-14 wide and the better
+    end's residual is at most ``tol``.  Past 1e-14 it bisects until the
+    residual bound holds or float spacing cannot split the bracket, as
+    bisection does.  Every step is a fixed sequence of float operations,
+    so the result is bit-reproducible.
+
+    Returns:
+        The bracket end with the smaller |f|, or a point where f is 0.
 
     Raises:
         RootFailure: reason "no_sign_change" when doubling exhausts its
@@ -308,6 +369,7 @@ def find_root_monotone(
     hi = hi_start if hi_start is not None else max(lo, 1.0)
     if hi <= lo:
         hi = lo + 1.0
+    a, fa = lo, flo
     fhi = check(f(hi), hi)
     doublings = 0
     while (fhi > 0.0) == (flo > 0.0):
@@ -319,27 +381,70 @@ def find_root_monotone(
                 "no_sign_change",
                 f"no sign change on [{lo!r}, {hi!r}] after 200 doublings",
             )
+        a, fa = hi, fhi  # the root lies above every end already tried
         hi *= 2.0
         fhi = check(f(hi), hi)
     if fhi == 0.0:
         return hi
 
-    rising = fhi > flo
-    mid = 0.5 * (lo + hi)
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # float spacing exhausted
-        fmid = check(f(mid), mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == rising:
-            lo = mid
+    b, fb = hi, fhi
+    c = fc = None  # the bracket end replaced last
+    # ITP's bound on the bracket width after the current step: it starts
+    # 2**_SLACK_STEPS times above bisection's and halves with every step
+    cap = (b - a) * 2.0 ** (_SLACK_STEPS - 1)
+    step = older = b - a  # Brent's last two step lengths
+    while True:
+        best, fbest = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return best  # float spacing exhausted
+        width = b - a
+        if width > _XTOL:
+            x = _interpolate(a, fa, b, fb, c, fc)
+            if abs(x - best) < 0.5 * older:
+                older, step = step, abs(x - best)
+            else:
+                x = mid
+                older = step = 0.5 * width
+            if abs(x - best) < 0.5 * _XTOL:
+                x = best + math.copysign(0.5 * _XTOL, mid - best)
+            radius = max(cap - 0.5 * width, 0.0)
+            if abs(x - mid) > radius:
+                x = mid + math.copysign(radius, x - mid)
+            if not a < x < b:
+                x = mid
+        elif abs(fbest) <= tol:
+            return best
         else:
-            hi = mid
-        if hi - lo <= 1e-14 and abs(fmid) <= tol:
-            break
-    return mid
+            x = mid
+        cap *= 0.5
+        fx = check(f(x), x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc, a, fa = a, fa, x, fx
+        else:
+            c, fc, b, fb = b, fb, x, fx
+
+
+def _interpolate(
+    a: float,
+    fa: float,
+    b: float,
+    fb: float,
+    c: Optional[float],
+    fc: Optional[float],
+) -> float:
+    # Inverse interpolation in Newton form, so no denominator is a product
+    # that could underflow to zero: each is a difference of distinct floats.
+    slope = (b - a) / (fb - fa)
+    secant = a - fa * slope
+    if c is not None and fc != fa and fc != fb:
+        curve = ((c - b) / (fc - fb) - slope) / (fc - fa)
+        x = secant + fa * fb * curve
+        if a < x < b:
+            return x
+    return secant
 
 
 def solve_z0(ctx: ProblemContext) -> float:

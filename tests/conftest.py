@@ -87,3 +87,33 @@ def write_config(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Each root search the package starts from here on: [kind, evaluations].
+
+    The kind is "z0" for searches started in the transcendental module (the
+    z0 property) and "outer" for the solver's.
+    """
+    from stefan3 import solver, transcendental
+    from stefan3.transcendental import find_root_monotone
+
+    started = []
+
+    def counting(kind):
+        def search(f, *args, **kwargs):
+            record = [kind, 0]
+            started.append(record)
+
+            def counted(z):
+                record[1] += 1
+                return f(z)
+
+            return find_root_monotone(counted, *args, **kwargs)
+
+        return search
+
+    monkeypatch.setattr(transcendental, "find_root_monotone", counting("z0"))
+    monkeypatch.setattr(solver, "find_root_monotone", counting("outer"))
+    return started

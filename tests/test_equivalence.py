@@ -269,3 +269,53 @@ def test_random_sets_round_trip():
         for rep in reports:
             assert all(c.holds for c in rep.hypotheses)
             assert rep.coef1_delta < 1e-9 and rep.coef2_delta < 1e-9
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("robin", "dirichlet"),
+        ("robin", "neumann"),
+        ("dirichlet", "robin"),
+        ("dirichlet", "neumann"),
+        ("neumann", "dirichlet"),
+        ("neumann", "robin"),
+    ],
+)
+def test_mapping_a_solved_source_searches_only_for_the_target(
+    source, target, searches
+):
+    from stefan3 import solve
+
+    bc = {"robin": Robin(h0=100.0, A_inf=334.0), "dirichlet": Dirichlet(A=331.0),
+          "neumann": Neumann(q0=300.0)}[source]
+    ctx = ProblemContext(PROPS, TEMPS, bc)
+    sol = solve(ctx)
+    n = len(searches)
+    rep = mapping(ctx, target, sol.surface_temp + 5.0 if target == "robin" else None)
+    assert len(searches) == n + 1
+    assert rep.source == sol
+    assert rep.coef1_delta < DELTA_TOL and rep.coef2_delta < DELTA_TOL
+
+
+def test_every_mapping_guards_its_source_kind(
+    ctx_plain, ctx_robin, ctx_dirichlet, ctx_neumann
+):
+    # each context is solved first, so a missing guard would map the
+    # recorded solution of the wrong kind instead of raising
+    from stefan3 import solve
+
+    for ctx in (ctx_robin, ctx_dirichlet, ctx_neumann):
+        solve(ctx)
+    calls = [
+        (robin_to_dirichlet, (), (ctx_plain, ctx_dirichlet, ctx_neumann)),
+        (robin_to_neumann, (), (ctx_plain, ctx_dirichlet, ctx_neumann)),
+        (dirichlet_to_robin, (334.0,), (ctx_plain, ctx_robin, ctx_neumann)),
+        (dirichlet_to_neumann, (), (ctx_plain, ctx_robin, ctx_neumann)),
+        (neumann_to_dirichlet, (), (ctx_plain, ctx_robin, ctx_dirichlet)),
+        (neumann_to_robin, (334.0,), (ctx_plain, ctx_robin, ctx_dirichlet)),
+    ]
+    for fn, extra, wrong in calls:
+        for ctx in wrong:
+            with pytest.raises(MissingBoundaryDatum):
+                fn(ctx, *extra)

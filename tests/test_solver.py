@@ -248,3 +248,39 @@ def test_perturbed_rebuilds_consistently(sol_robin):
     assert evaluate_temperature(p, 0.0, 1.0) == pytest.approx(
         p.surface_temp, abs=1e-10
     )
+
+
+def test_with_bc_inherits_z0_and_still_validates(monkeypatch):
+    from stefan3 import transcendental
+
+    ctx = ProblemContext(PROPS, TEMPS)
+    z0 = ctx.z0
+    evals = []
+    h_func = transcendental.h_func
+    monkeypatch.setattr(
+        transcendental, "h_func", lambda z, c: evals.append(z) or h_func(z, c)
+    )
+    other = ctx.with_bc(Robin(h0=100.0, A_inf=334.0))
+    assert other.z0 == z0 and other.alphas == ctx.alphas
+    assert evals == []
+    with pytest.raises(ValidationError):
+        ctx.with_bc(Robin(h0=-1.0, A_inf=334.0))
+
+
+@pytest.mark.parametrize(
+    "bc", [Robin(h0=100.0, A_inf=334.0), Dirichlet(A=331.0), Neumann(q0=300.0)]
+)
+def test_memoized_solve_is_bit_identical_to_a_fresh_one(bc, searches):
+    ctx = ProblemContext(PROPS, TEMPS, bc)
+    first = solve(ctx)
+    n = len(searches)
+    again = solve(ctx)
+    assert len(searches) == n  # no new search
+    assert again == first
+    fresh = solve(ProblemContext(PROPS, TEMPS, bc))
+    assert (fresh.coef1, fresh.coef2) == (first.coef1, first.coef2)
+    # the record is per context and tolerance: neither carries over
+    assert ctx.with_bc(bc).roots == {}
+    n = len(searches)
+    solve(ctx, tol=1e-10)
+    assert len(searches) == n + 1

@@ -177,3 +177,79 @@ def test_context_is_immutable_and_validating(ctx_robin):
         ctx_robin.props = None
     with pytest.raises(ValidationError):
         ProblemContext(ctx_robin.props, PhaseTemps(B=1.0, C=2.0, D=3.0))
+
+
+def _bisection_count(f, lo, hi, tol=1e-12):
+    # evaluations plain bisection takes on [lo, hi] under the same stopping
+    # rule: a bracket of 1e-14 with |f| <= tol there, or float spacing
+    flo, n = f(lo), 2
+    f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return n
+        fmid = f(mid)
+        n += 1
+        if (fmid < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 and abs(fmid) <= tol:
+            return n
+
+
+def _counted(f):
+    calls = []
+
+    def g(z):
+        calls.append(z)
+        return f(z)
+
+    return g, calls
+
+
+HARD_CASES = {
+    "steep": (lambda z: math.tanh(1e8 * (z - 0.3)), 0.3),
+    "flat": (lambda z: (z - 0.7) ** 9, 0.7),
+    "pole": (
+        lambda z: -1e300 if z <= 0.0 else z - 0.4 - 1e-3 / z,
+        0.2 + math.sqrt(0.041),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CASES))
+def test_find_root_worst_case_stays_near_bisection(name):
+    f, exact = HARD_CASES[name]
+    g, calls = _counted(f)
+    root = find_root_monotone(g, 0.0, hi_start=1.0)
+    assert len(calls) <= _bisection_count(f, 0.0, 1.0) + 8
+    assert abs(root - exact) <= 1e-14
+    # the sign change lies within the 1e-14 bracket around the result
+    assert f(root) == 0.0 or f(root - 1e-14) < 0.0 < f(root + 1e-14)
+
+
+def test_root_search_typical_cost(searches):
+    from statistics import median
+
+    from conftest import DIRICHLET, NEUMANN, PROPS, ROBIN, TEMPS
+    from _random_sets import make_sets
+    from stefan3 import solve
+
+    problems = [(PROPS, TEMPS, (ROBIN, DIRICHLET, NEUMANN))]
+    problems += [
+        (s["ctx"].props, s["ctx"].temps, (s["robin"], s["dirichlet"], s["neumann"]))
+        for s in make_sets()
+    ]
+    del searches[:]  # make_sets found z0 for its own contexts
+    for props, temps, bcs in problems:
+        ctx = ProblemContext(props, temps)
+        ctx.z0
+        for bc in bcs:
+            solve(ctx.with_bc(bc))
+    z0 = [n for kind, n in searches if kind == "z0"]
+    outer = [n for kind, n in searches if kind == "outer"]
+    assert (len(z0), len(outer)) == (51, 153)
+    # plain bisection takes 49 for each
+    assert median(outer) <= 12
+    assert median(z0) <= 12
