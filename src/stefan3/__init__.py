@@ -55,6 +55,7 @@ from .solver import (
     solve_robin,
     surface_values,
     temperature_excess,
+    temperature_row,
     thresholds,
 )
 from .equivalence import (
@@ -147,6 +148,7 @@ __all__ = [
     "stefan_residual",
     "surface_values",
     "temperature_excess",
+    "temperature_row",
     "thresholds",
     "validate",
 ]

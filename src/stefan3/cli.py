@@ -17,8 +17,10 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import math
 import os
 import sys
 from typing import Optional
@@ -34,9 +36,9 @@ from .model import Violation, load_config
 from .transcendental import ProblemContext
 from .solver import (
     free_boundaries,
-    evaluate_temperature,
     perturbed,
     solve,
+    temperature_row,
     thresholds,
 )
 from .equivalence import mapping
@@ -53,7 +55,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: every parse starts from a fresh namespace
     parser = _Parser(
         prog="stefan3",
         description="Three-phase melting with a square-root-of-time "
@@ -152,21 +156,29 @@ def _fronts_path(out: str) -> str:
 
 def cmd_map(args) -> int:
     sol = solve(_require_bc(_context(args.config)))
-    tmax, nx, nt = args.tmax, args.nx, args.nt
-    if not (tmax > 0.0 and nx >= 2 and nt >= 1):
+    tmax, xmax, nx, nt = args.tmax, args.xmax, args.nx, args.nt
+    if not (
+        math.isfinite(tmax) and tmax > 0.0
+        and (xmax is None or (math.isfinite(xmax) and xmax >= 0.0))
+        and nx >= 2 and nt >= 1
+    ):
         raise ValidationError(
-            [Violation("BAD_GRID", "need tmax > 0, nx >= 2 and nt >= 1")]
+            [Violation("BAD_GRID", "need finite tmax > 0, finite xmax >= 0, "
+                       "nx >= 2 and nt >= 1")]
         )
-    xmax = args.xmax
     if xmax is None:
         xmax = 2.0 * free_boundaries(sol, tmax)[1]
     ts = [tmax * (i + 1) / nt for i in range(nt)]
     xs = [xmax * j / (nx - 1) for j in range(nx)]
+    x_cells = [f"{x!r}," for x in xs]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,t,temperature\n")
         for t in ts:
-            for x in xs:
-                fh.write(f"{x!r},{t!r},{evaluate_temperature(sol, x, t)!r}\n")
+            t_cell = f"{t!r},"
+            fh.write("".join([
+                f"{x_cell}{t_cell}{temp!r}\n"
+                for x_cell, temp in zip(x_cells, temperature_row(sol, t, xs))
+            ]))
     fronts = _fronts_path(args.out)
     with open(fronts, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x2,x1\n")

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import specfun
 from .errors import MissingBoundaryDatum, RegimeError, ValidationError
@@ -172,6 +172,21 @@ class ThreePhaseSolution:
             self.coef2 * c.sigma2
         )
 
+    @cached_property
+    def _excess_constants(self) -> tuple[float, ...]:
+        # every per-solution constant of the three excess formulas in
+        # _phase_excess, in the order _excess_row unpacks them
+        t_ = self.ctx.temps
+        return (
+            self.surface_temp - t_.D,
+            self._slope3,
+            t_.C - t_.D,
+            t_.B - t_.C,
+            specfun.erf(self.coef1 * self.ctx.sigma2),
+            self._span2,
+            specfun.erfc(self.coef1),
+        )
+
     def to_dict(self) -> dict:
         out = {
             "kind": self.kind,
@@ -318,22 +333,6 @@ def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
     return sol.coef2 * scale, sol.coef1 * scale
 
 
-def _classify_point(sol: ThreePhaseSolution, x: float, t: float) -> int:
-    x2, x1 = free_boundaries(sol, t)
-    if x <= x2 * (1.0 + _FRONT_BAND):
-        return 3
-    if x <= x1 * (1.0 + _FRONT_BAND):
-        return 2
-    return 1
-
-
-def _check_point(x: float, t: float) -> None:
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError("x must be finite and >= 0")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("t must be finite and > 0")
-
-
 def _phase_excess(sol: ThreePhaseSolution, phase: int, x: float, t: float) -> float:
     # closed-form excess above D using the given phase's formula, whether or
     # not (x, t) lies in that phase; verification probes fronts from both sides
@@ -350,6 +349,72 @@ def _phase_excess(sol: ThreePhaseSolution, phase: int, x: float, t: float) -> fl
     return (t_.C - t_.D) * specfun.erfc(eta) / specfun.erfc(sol.coef1)
 
 
+def profile_row(
+    sol: ThreePhaseSolution, t: float, xs: Sequence[float]
+) -> tuple[list[int], list[float]]:
+    """Phase index and similarity profile at every x of xs, at one time t.
+
+    The row form of phase_profile, equal to it point for point: the fronts,
+    the band limits and the three scales 2*sqrt(alpha_i*t) are computed
+    once per row.  A point within _FRONT_BAND (relative) above a front
+    belongs to the phase on its lower-x side.
+
+    Raises:
+        ValueError: An x is negative or not finite, or t is not a finite
+            positive number.
+    """
+    if xs and not (min(xs) >= 0.0 and all(map(math.isfinite, xs))):
+        raise ValueError("x must be finite and >= 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t must be finite and > 0")
+    x2, x1 = free_boundaries(sol, t)
+    top3 = x2 * (1.0 + _FRONT_BAND)
+    top2 = x1 * (1.0 + _FRONT_BAND)
+    a1, a2, a3 = sol.ctx.alphas
+    d1 = 2.0 * math.sqrt(a1 * t)
+    d2 = 2.0 * math.sqrt(a2 * t)
+    d3 = 2.0 * math.sqrt(a3 * t)
+    # looked up per call, so wrappers installed on specfun see every call
+    erf, erfc = specfun.erf, specfun.erfc
+    phases, ws = [], []
+    for x in xs:
+        if x <= top3:
+            phases.append(3)
+            ws.append(erf(x / d3))
+        elif x <= top2:
+            phases.append(2)
+            ws.append(erf(x / d2))
+        else:
+            phases.append(1)
+            ws.append(erfc(x / d1))
+    return phases, ws
+
+
+def _excess_row(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> list[float]:
+    # each phase's closed form for the excess above D, applied to its profile
+    # w; operation order as in _phase_excess, so every value matches it bit
+    # for bit
+    phases, ws = profile_row(sol, t, xs)
+    surface, slope3, solid, rise, at_front1, span2, erfc1 = sol._excess_constants
+    return [
+        surface - slope3 * w if phase == 3
+        else solid + rise * (at_front1 - w) / span2 if phase == 2
+        else solid * w / erfc1
+        for phase, w in zip(phases, ws)
+    ]
+
+
+def temperature_row(
+    sol: ThreePhaseSolution, t: float, xs: Sequence[float]
+) -> list[float]:
+    """Temperature in kelvin at every x of xs, at one time t.
+
+    Equal to evaluate_temperature point for point; raises as profile_row.
+    """
+    d = sol.ctx.temps.D
+    return [d + e for e in _excess_row(sol, t, xs)]
+
+
 def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
     """Temperature above the initial value D at (x, t).
 
@@ -357,13 +422,12 @@ def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
     floating-point granularity matches the temperature differences that
     drive the physics, which downstream difference-based checks rely on.
     """
-    _check_point(x, t)
-    return _phase_excess(sol, _classify_point(sol, x, t), x, t)
+    return _excess_row(sol, t, (x,))[0]
 
 
 def evaluate_temperature(sol: ThreePhaseSolution, x: float, t: float) -> float:
     """Temperature in kelvin at position x >= 0 and time t > 0."""
-    return sol.ctx.temps.D + temperature_excess(sol, x, t)
+    return temperature_row(sol, t, (x,))[0]
 
 
 def phase_profile(sol: ThreePhaseSolution, x: float, t: float) -> tuple[int, float]:
@@ -373,15 +437,10 @@ def phase_profile(sol: ThreePhaseSolution, x: float, t: float) -> tuple[int, flo
     phases and w = erfc(...) for the solid.  The temperature in phase i is
     a_i + b_i*w with constants a_i, b_i, so any linear functional of the
     temperature, such as a heat-equation residual, can be evaluated on w
-    alone with perfect relative conditioning.
+    alone with perfect relative conditioning.  profile_row is its row form.
     """
-    _check_point(x, t)
-    phase = _classify_point(sol, x, t)
-    alpha = sol.ctx.alphas[phase - 1]
-    eta = x / (2.0 * math.sqrt(alpha * t))
-    if phase == 1:
-        return 1, specfun.erfc(eta)
-    return phase, specfun.erf(eta)
+    phases, ws = profile_row(sol, t, (x,))
+    return phases[0], ws[0]
 
 
 def surface_values(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:

@@ -1,0 +1,109 @@
+"""Point-by-point reference implementations of the field code.
+
+The package evaluates its fields one time row at a time
+(``solver.profile_row``).  These functions evaluate one (x, t) at a time,
+with the per-point classification, scaling and stencil loop the row code
+replaced, and the tests assert that the row code equals them bit for bit.
+"""
+
+import math
+
+from stefan3 import specfun, verify
+from stefan3.errors import StencilCrossesFront
+from stefan3.solver import _FRONT_BAND, free_boundaries
+
+
+def _check_point(x, t):
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError("x must be finite and >= 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t must be finite and > 0")
+
+
+def classify_point(sol, x, t):
+    x2, x1 = free_boundaries(sol, t)
+    if x <= x2 * (1.0 + _FRONT_BAND):
+        return 3
+    if x <= x1 * (1.0 + _FRONT_BAND):
+        return 2
+    return 1
+
+
+def phase_profile(sol, x, t):
+    _check_point(x, t)
+    phase = classify_point(sol, x, t)
+    alpha = sol.ctx.alphas[phase - 1]
+    eta = x / (2.0 * math.sqrt(alpha * t))
+    if phase == 1:
+        return 1, specfun.erfc(eta)
+    return phase, specfun.erf(eta)
+
+
+def temperature_excess(sol, x, t):
+    _check_point(x, t)
+    phase = classify_point(sol, x, t)
+    c = sol.ctx
+    t_ = c.temps
+    if phase == 3:
+        eta = x / (2.0 * math.sqrt(c.alpha3 * t))
+        return (sol.surface_temp - t_.D) - sol._slope3 * specfun.erf(eta)
+    if phase == 2:
+        eta = x / (2.0 * math.sqrt(c.alpha2 * t))
+        top = specfun.erf(sol.coef1 * c.sigma2) - specfun.erf(eta)
+        return (t_.C - t_.D) + (t_.B - t_.C) * top / sol._span2
+    eta = x / (2.0 * math.sqrt(c.alpha1 * t))
+    return (t_.C - t_.D) * specfun.erfc(eta) / specfun.erfc(sol.coef1)
+
+
+def evaluate_temperature(sol, x, t):
+    return sol.ctx.temps.D + temperature_excess(sol, x, t)
+
+
+def heat_residual(sol, rel_step=1e-4, n_points=100, times=verify.DEFAULT_TIMES):
+    """verify.heat_residual with one phase_profile call per stencil point."""
+    worst = {1: 0.0, 2: 0.0, 3: 0.0}
+    for t in times:
+        windows = verify._phase_windows(sol, t, rel_step)
+        h_t = rel_step * t
+        for phase, (lo, hi, h) in windows.items():
+            alpha = sol.ctx.alphas[phase - 1]
+            ratio = hi / lo
+            for j in range(n_points):
+                x = lo * ratio ** (j / (n_points - 1)) if n_points > 1 else lo
+                samples = []
+                for xx, tt in (
+                    (x, t),
+                    (x - h, t),
+                    (x + h, t),
+                    (x, t - h_t),
+                    (x, t + h_t),
+                ):
+                    got, w = phase_profile(sol, xx, tt)
+                    if got != phase:
+                        raise StencilCrossesFront(
+                            f"stencil point (x={xx!r}, t={tt!r}) fell in "
+                            f"phase {got} while testing phase {phase}"
+                        )
+                    samples.append(w)
+                w0, wm, wp, wtm, wtp = samples
+                d_xx = (wp - 2.0 * w0 + wm) / (h * h)
+                d_t = (wtp - wtm) / (2.0 * h_t)
+                num = abs(d_t - alpha * d_xx)
+                den = max(abs(d_t), abs(alpha * d_xx), verify._EPS / t)
+                res = num / den
+                if res > worst[phase]:
+                    worst[phase] = res
+    return {f"phase{k}": v for k, v in worst.items()}
+
+
+def map_csv(sol, tmax, nx, nt, xmax=None):
+    """The text ``stefan3 map`` writes for this grid, one point at a time."""
+    if xmax is None:
+        xmax = 2.0 * free_boundaries(sol, tmax)[1]
+    ts = [tmax * (i + 1) / nt for i in range(nt)]
+    xs = [xmax * j / (nx - 1) for j in range(nx)]
+    lines = ["x,t,temperature\n"]
+    for t in ts:
+        for x in xs:
+            lines.append(f"{x!r},{t!r},{evaluate_temperature(sol, x, t)!r}\n")
+    return "".join(lines)

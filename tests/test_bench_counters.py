@@ -1,8 +1,9 @@
 """Regression gate on the benchmark's deterministic per-layer counters.
 
-Runs one traced smoke round of the ``sweep`` workload (about 1.5 s).  Its
-counts are exact for a seed and equal those of a full-length run, so they
-gate root-search cost and repeated work without timing anything.
+Runs one traced smoke round of each workload (about 1.5 s for ``sweep``,
+2 s for ``field`` and 2.6 s for ``verify``).  Its counts are exact for a
+seed and equal those of a full-length run, so they gate root-search cost,
+repeated work and field-evaluation cost without timing anything.
 """
 
 import json
@@ -28,17 +29,38 @@ UPPER_BOUNDS = {
 }
 
 
-def test_sweep_counters_stay_within_bounds():
+def traced_smoke(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "sweep", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--smoke", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout.splitlines()[-1])
     assert res["correct"] is True, proc.stderr
+    return res
+
+
+def test_sweep_counters_stay_within_bounds():
+    res = traced_smoke("sweep")
     # the two near-threshold data still raise RootFailure("non_finite")
     assert (res["failed"], res["attempted"]) == (2, 50)
     counts = {name: res["metrics"][name]["value"] for name in UPPER_BOUNDS}
     over = {k: v for k, v in counts.items() if v > UPPER_BOUNDS[k]}
     assert not over, counts
+
+
+def test_field_writes_every_row():
+    res = traced_smoke("field")
+    assert (res["failed"], res["attempted"]) == (0, 8)
+    # rows per op over the field and fronts files of the seed-1 grids
+    assert res["metrics"]["cli.map.rows_written"]["value"] == 3074.625
+
+
+def test_verify_does_no_extra_kernel_work():
+    res = traced_smoke("verify")
+    # the two fixed far-field cases still fail their probe
+    assert (res["failed"], res["attempted"]) == (2, 24)
+    # row evaluation makes the same erf calls as evaluating each stencil
+    # point on its own did (3015 per op at seed 1)
+    assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 3015.0

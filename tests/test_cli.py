@@ -152,14 +152,63 @@ def test_map_writes_field_and_fronts(capsys, tmp_path, write_config):
     assert biggest_x == pytest.approx(2.0 * fronts[-1][2], rel=1e-12)
 
 
-def test_map_rejects_degenerate_grid(capsys, tmp_path, robin_config):
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--nx", "1"],
+        ["--nt", "0"],
+        ["--xmax", "-1"],
+        ["--xmax", "nan"],
+        ["--xmax", "inf"],
+        ["--tmax", "inf"],
+        ["--tmax", "nan"],
+        ["--tmax", "0"],
+    ],
+    ids=["nx-1", "nt-0", "xmax-negative", "xmax-nan", "xmax-inf", "tmax-inf",
+         "tmax-nan", "tmax-0"],
+)
+def test_map_rejects_degenerate_grid(capsys, tmp_path, robin_config, grid):
     code, _, err = run_cli(
         capsys,
         ["map", "--config", robin_config, "--out", str(tmp_path / "f.csv"),
-         "--nx", "1"],
+         *grid],
     )
     assert code == 1
-    assert "BAD_GRID" in err
+    assert "invalid input: BAD_GRID" in err
+    # rejected before either CSV file was opened
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "kind, grid",
+    [
+        ("neumann", ["--tmax", "4.0", "--nx", "7", "--nt", "3"]),
+        ("robin", ["--tmax", "0.3", "--nx", "40", "--nt", "5", "--xmax", "0.02"]),
+        ("dirichlet", ["--nx", "2", "--nt", "1", "--xmax", "0"]),
+    ],
+)
+def test_map_bytes_equal_a_point_by_point_writer(
+    capsys, tmp_path, write_config, kind, grid
+):
+    import _reference as ref
+    from stefan3 import ProblemContext, config_from_dict, solve
+
+    cfg = benchmark_config(kind)
+    out = tmp_path / "field.csv"
+    code, _, _ = run_cli(
+        capsys, ["map", "--config", write_config(cfg), "--out", str(out), *grid]
+    )
+    assert code == 0
+    args = dict(zip(grid[::2], grid[1::2]))
+    sol = solve(ProblemContext(*config_from_dict(cfg)))
+    want = ref.map_csv(
+        sol,
+        float(args.get("--tmax", 10.0)),
+        int(args["--nx"]),
+        int(args["--nt"]),
+        float(args["--xmax"]) if "--xmax" in args else None,
+    )
+    assert out.read_bytes() == want.encode("utf-8")
 
 
 def test_verify_passes_then_fails_when_perturbed(capsys, robin_config):

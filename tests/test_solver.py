@@ -284,3 +284,80 @@ def test_memoized_solve_is_bit_identical_to_a_fresh_one(bc, searches):
     n = len(searches)
     solve(ctx, tol=1e-10)
     assert len(searches) == n + 1
+
+
+def _row_solutions(sol_robin, sol_dirichlet, sol_neumann):
+    from _random_sets import make_sets
+
+    s = make_sets(1)[0]
+    # distinct diffusivities in every phase, one datum of each kind
+    distinct = [solve(s["ctx"].with_bc(s[kind]))
+                for kind in ("robin", "dirichlet", "neumann")]
+    return [sol_robin, sol_dirichlet, sol_neumann,
+            perturbed(sol_robin, 1e-3, -1e-3), *distinct]
+
+
+def _straddling_grid(sol, t):
+    x2, x1 = free_boundaries(sol, t)
+    xs = [x1 * 2.5 * j / 40 for j in range(41)]
+    for front in (x2, x1):
+        # the front, and the points that round into or out of its band
+        xs += [front, front * (1.0 - 1e-14), front * (1.0 + 1e-14),
+               front * (1.0 + 2e-14), math.nextafter(front, math.inf)]
+    return xs + [0.0, 40.0 * x1]
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 7.3])
+def test_rows_equal_the_point_reference_bit_for_bit(
+    t, sol_robin, sol_dirichlet, sol_neumann
+):
+    import _reference as ref
+    from stefan3.solver import profile_row, temperature_row
+
+    for sol in _row_solutions(sol_robin, sol_dirichlet, sol_neumann):
+        xs = _straddling_grid(sol, t)
+        want = [ref.phase_profile(sol, x, t) for x in xs]
+        phases, ws = profile_row(sol, t, xs)
+        assert list(zip(phases, ws)) == want
+        assert set(phases) == {1, 2, 3}
+        temps = [ref.evaluate_temperature(sol, x, t) for x in xs]
+        assert temperature_row(sol, t, xs) == temps
+        # the point functions are one-element rows
+        assert [phase_profile(sol, x, t) for x in xs] == want
+        assert [evaluate_temperature(sol, x, t) for x in xs] == temps
+        assert [temperature_excess(sol, x, t) for x in xs] == [
+            ref.temperature_excess(sol, x, t) for x in xs
+        ]
+
+
+@pytest.mark.parametrize(
+    "xs, t",
+    [
+        ([0.0, math.nan], 1.0),
+        ([math.nan, 0.01], 1.0),
+        ([0.01, -1e-300], 1.0),
+        ([0.0, math.inf], 1.0),
+        ([-math.inf], 1.0),
+        ([0.01], 0.0),
+        ([0.01], -1.0),
+        ([0.01], math.inf),
+        ([0.01], math.nan),
+        ([], 0.0),
+    ],
+    ids=["nan-x", "nan-first", "negative-x", "inf-x", "minus-inf-x", "t-zero",
+         "t-negative", "t-inf", "t-nan", "empty-t-zero"],
+)
+def test_profile_row_rejects_points_outside_the_domain(sol_robin, xs, t):
+    from stefan3.solver import profile_row, temperature_row
+
+    with pytest.raises(ValueError):
+        profile_row(sol_robin, t, xs)
+    with pytest.raises(ValueError):
+        temperature_row(sol_robin, t, xs)
+
+
+def test_empty_row(sol_robin):
+    from stefan3.solver import profile_row, temperature_row
+
+    assert profile_row(sol_robin, 1.0, []) == ([], [])
+    assert temperature_row(sol_robin, 1.0, []) == []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from stefan3 import (
 )
 from stefan3.verify import (
     BOUNDARY_TOL,
+    DEFAULT_TIMES,
     FAR_FIELD_TOL,
     HEAT_TOL,
     INTERFACE_TOL,
@@ -177,3 +179,49 @@ def test_failures_name_each_offender():
     )
     assert rep.failures() == ["heat:phase2", "interface:front2_liquid", "far_field"]
     assert not rep.passes
+
+
+@pytest.mark.parametrize(
+    "rel_step, times",
+    # the default step, and the second-order ladder at its own time
+    [(1e-4, DEFAULT_TIMES), (4e-3, (1.0,)), (2e-3, (1.0,)), (1e-3, (1.0,))],
+)
+def test_heat_residual_equals_the_point_by_point_loop(
+    rel_step, times, sol_robin, sol_dirichlet, sol_neumann
+):
+    import _reference as ref
+
+    for sol in (sol_robin, sol_dirichlet, sol_neumann):
+        try:
+            want = ref.heat_residual(sol, rel_step, times=times)
+        except StencilCrossesFront as exc:
+            # the coarse steps leave the thinner phase 3 no room
+            with pytest.raises(StencilCrossesFront, match=re.escape(str(exc))):
+                heat_residual(sol, rel_step, times=times)
+            assert sol is not sol_robin
+        else:
+            assert heat_residual(sol, rel_step, times=times) == want
+    # one point skips the geometric spacing; two is the shortest spacing
+    for n in (1, 2):
+        assert heat_residual(sol_robin, n_points=n) == ref.heat_residual(
+            sol_robin, n_points=n
+        )
+
+
+def test_stencil_point_past_a_front_raises(monkeypatch, sol_neumann):
+    from stefan3 import free_boundaries, verify
+    from stefan3.solver import phase_profile
+
+    def crossing(sol, t, rel_step):
+        # a phase-3 window that reaches half way to the middle front
+        x2, x1 = free_boundaries(sol, t)
+        h = rel_step * 2.0 * math.sqrt(sol.ctx.alpha3 * t)
+        return {3: (6.0 * h, 0.5 * (x2 + x1), h)}
+
+    monkeypatch.setattr(verify, "_phase_windows", crossing)
+    with pytest.raises(StencilCrossesFront, match="while testing phase 3") as err:
+        heat_residual(sol_neumann)
+    assert "fell in phase 2" in str(err.value)
+    # the named point lies in phase 2
+    x = float(str(err.value).split("x=")[1].split(",")[0])
+    assert phase_profile(sol_neumann, x, DEFAULT_TIMES[0])[0] == 2
