@@ -8,7 +8,10 @@ inequality guaranteeing the target datum is admissible, then solves the
 target problem so the caller can see the front coefficients agree.  The
 source is solved once per context: ``solve`` records its front
 coefficients on the context, so a source the caller has already solved
-is not solved again.
+is not solved again.  The target's search tries a bracket of relative
+width 2e-9 around the source's coef1 first, inside the target's own
+residual, and falls back to the cold bracket when that bracket holds no
+sign change; either way the agreement is found, not assumed.
 """
 
 from __future__ import annotations
@@ -19,16 +22,9 @@ from typing import Optional
 
 from . import specfun
 from .errors import HypothesisError, MissingBoundaryDatum, ValidationError
-from .model import Dirichlet, Neumann, Robin, Violation
+from .model import BoundarySpec, Dirichlet, Neumann, Robin, Violation
 from .transcendental import ProblemContext, find_root_monotone
-from .solver import (
-    ThreePhaseSolution,
-    solve,
-    solve_dirichlet,
-    solve_neumann,
-    solve_robin,
-    thresholds,
-)
+from .solver import ThreePhaseSolution, _solve_outer, solve, thresholds
 
 
 @dataclass(frozen=True)
@@ -122,12 +118,18 @@ def _source(ctx: ProblemContext, kind: type) -> ThreePhaseSolution:
     return solve(ctx)
 
 
+def _target(src: ThreePhaseSolution, bc: BoundarySpec) -> ThreePhaseSolution:
+    # the source's problem under the mapped datum, solved by a search that
+    # starts next to the source's coef1 and falls back to the cold bracket
+    return _solve_outer(src.ctx.with_bc(bc), 1e-12, seed=src.coef1)
+
+
 def robin_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a convective datum (h0, A_inf)."""
     src = _source(ctx, Robin)
     a = src.surface_temp
     check = _checked(HypothesisCheck("mapped_A_above_B", a, ctx.temps.B))
-    tgt = solve_dirichlet(ctx.with_bc(Dirichlet(A=a)))
+    tgt = _target(src, Dirichlet(A=a))
     return _report(src, tgt, "A", a, [check])
 
 
@@ -167,7 +169,7 @@ def dirichlet_to_robin(
     )
     h2 = thresholds(ctx, a_inf).h2
     check = _checked(HypothesisCheck("mapped_h0_above_h2", h0, h2))
-    tgt = solve_robin(ctx.with_bc(Robin(h0=h0, A_inf=a_inf)))
+    tgt = _target(src, Robin(h0=h0, A_inf=a_inf))
     return _report(src, tgt, "h0", h0, [check])
 
 
@@ -176,7 +178,7 @@ def dirichlet_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     src = _source(ctx, Dirichlet)
     q0 = src.flux_coef
     check = _checked(HypothesisCheck("mapped_q0_above_q2", q0, src.thresh.q2))
-    tgt = solve_neumann(ctx.with_bc(Neumann(q0=q0)))
+    tgt = _target(src, Neumann(q0=q0))
     return _report(src, tgt, "q0", q0, [check])
 
 
@@ -185,7 +187,7 @@ def neumann_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     src = _source(ctx, Neumann)
     a = src.surface_temp
     check = _checked(HypothesisCheck("mapped_A_above_B", a, ctx.temps.B))
-    tgt = solve_dirichlet(ctx.with_bc(Dirichlet(A=a)))
+    tgt = _target(src, Dirichlet(A=a))
     return _report(src, tgt, "A", a, [check])
 
 
@@ -194,7 +196,7 @@ def robin_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     src = _source(ctx, Robin)
     q0 = src.flux_coef
     check = _checked(HypothesisCheck("mapped_q0_above_q2", q0, src.thresh.q2))
-    tgt = solve_neumann(ctx.with_bc(Neumann(q0=q0)))
+    tgt = _target(src, Neumann(q0=q0))
     return _report(src, tgt, "q0", q0, [check])
 
 
@@ -230,7 +232,7 @@ def neumann_to_robin(
     h0 = ctx.bc.q0 / denom
     h2 = thresholds(ctx, a_inf).h2
     check = _checked(HypothesisCheck("mapped_h0_above_h2", h0, h2))
-    tgt = solve_robin(ctx.with_bc(Robin(h0=h0, A_inf=a_inf)))
+    tgt = _target(src, Robin(h0=h0, A_inf=a_inf))
     return _report(src, tgt, "h0", h0, [check])
 
 

@@ -12,10 +12,10 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import specfun
-from .errors import MissingBoundaryDatum, RegimeError, ValidationError
+from .errors import MissingBoundaryDatum, RegimeError, RootFailure, ValidationError
 from .model import (
     Dirichlet,
     Neumann,
@@ -27,10 +27,7 @@ from .transcendental import (
     ProblemContext,
     coef2_from_coef1,
     find_root_monotone,
-    p_func,
-    q_func,
-    u_func,
-    v_func_times_erf,
+    outer_residual,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -252,13 +249,31 @@ def _outer_bracket(ctx: ProblemContext) -> tuple[float, float]:
     return ctx.z0 + 1e-12, max(ctx.z0, 1.0)
 
 
+# Relative half-width of the bracket a seeded search tries first.
+_SEED_SPAN = 1e-9
+
+
 def _solve_outer(
-    ctx: ProblemContext, residual: Callable[[float], float], tol: float
+    ctx: ProblemContext, tol: float, seed: Optional[float] = None
 ) -> ThreePhaseSolution:
-    # classify, find coef1, and record the root on the context for solve()
+    # classify, find coef1, and record the root on the context for solve().
+    # A seed (an equivalent problem's coef1) is tried first as a narrow
+    # bracket inside this problem's own residual: the search must still find
+    # its own sign change there, else the cold bracket takes over.
     th = _three_phase_thresholds(ctx)
+    residual = outer_residual(ctx)
     lo, hi = _outer_bracket(ctx)
-    coef1 = find_root_monotone(residual, lo, hi, tol)
+    coef1 = None
+    if seed is not None:
+        near_lo = max(seed * (1.0 - _SEED_SPAN), lo)
+        near_hi = seed * (1.0 + _SEED_SPAN)
+        if near_lo < near_hi:
+            try:
+                coef1 = find_root_monotone(residual, near_lo, near_hi, tol)
+            except RootFailure:
+                pass
+    if coef1 is None:
+        coef1 = find_root_monotone(residual, lo, hi, tol)
     coefs = ctx.roots[tol] = (coef1, coef2_from_coef1(coef1, ctx))
     return _build_solution(ctx, *coefs, th)
 
@@ -274,35 +289,21 @@ def solve_robin(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """
     if not isinstance(ctx.bc, Robin):
         raise MissingBoundaryDatum("solve_robin needs h0 and A_inf")
-    return _solve_outer(ctx, lambda z: q_func(z, ctx) - u_func(z, ctx), tol)
+    return _solve_outer(ctx, tol)
 
 
 def solve_dirichlet(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """Solve under an imposed surface temperature A > B."""
     if not isinstance(ctx.bc, Dirichlet):
         raise MissingBoundaryDatum("solve_dirichlet needs a surface temperature")
-
-    def f(z: float) -> float:
-        # q_func(z) - v_func(m) times erf(m*sigma3) > 0: the same sign and
-        # root, still increasing, and finite at v_func's pole m = 0
-        m = max(coef2_from_coef1(z, ctx), 0.0)
-        return specfun.erf(m * ctx.sigma3) * q_func(z, ctx) - v_func_times_erf(
-            m, ctx
-        )
-
-    return _solve_outer(ctx, f, tol)
+    return _solve_outer(ctx, tol)
 
 
 def solve_neumann(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """Solve under an imposed surface flux q0/sqrt(t)."""
     if not isinstance(ctx.bc, Neumann):
         raise MissingBoundaryDatum("solve_neumann needs a flux coefficient")
-
-    def f(z: float) -> float:
-        m = coef2_from_coef1(z, ctx)
-        return q_func(z, ctx) - p_func(max(m, 0.0), ctx)
-
-    return _solve_outer(ctx, f, tol)
+    return _solve_outer(ctx, tol)
 
 
 def solve(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:

@@ -11,9 +11,14 @@ functions of the front coefficients.  The key objects are:
 * ``q_func`` and the boundary-specific ``t_func``/``v_func``/``p_func``:
   the two sides of the single remaining equation for the outer coefficient
   (``v_func_times_erf`` is ``v_func`` without its pole).
+* ``outer_residual``: that equation as one function of the outer
+  coefficient, built once per solve.  It picks the surface law of the
+  context's boundary kind once, hoists every per-problem constant, and
+  evaluates ``phi`` once per point; its values equal the point functions
+  composed (``q_func - u_func`` and its two siblings) bit for bit.
 
-All are parameterized by an immutable ProblemContext so repeated evaluation
-during root finding allocates nothing.
+The point functions are parameterized by an immutable ProblemContext and
+stay the reference the fused kernels are tested against.
 """
 
 from __future__ import annotations
@@ -131,9 +136,7 @@ class ProblemContext:
     @cached_property
     def z0(self) -> float:
         """Unique positive zero of h_func, found by find_root_monotone."""
-        return find_root_monotone(
-            lambda z: h_func(z, self), 0.0, hi_start=1.0, tol=1e-13
-        )
+        return find_root_monotone(_h_kernel(self), 0.0, hi_start=1.0, tol=1e-13)
 
     @cached_property
     def roots(self) -> dict[float, tuple[float, float]]:
@@ -317,6 +320,102 @@ def u_func(z: float, ctx: ProblemContext) -> float:
     if z <= ctx.z0:
         raise ValueError("u_func is defined for z > z0")
     return t_func(coef2_from_coef1(z, ctx), ctx)
+
+
+def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
+    # h_func for z >= 0 with the per-material constants hoisted; equal to it
+    # bit for bit.  The kernels are bound here, once per search, so wrappers
+    # installed on specfun see every call.
+    erf, inv_erfcx = specfun.erf, specfun._inv_erfcx
+    a1, a2, _ = ctx.alphas
+    sigma2, offset = ctx.sigma2, ctx._h_offset_coef
+    ste = ctx.ste1 / _SQRT_PI
+
+    def h(z: float) -> float:
+        return erf(z * sigma2) - offset * math.exp(-z * z * a1 / a2) / (
+            z + ste * inv_erfcx(z)
+        )
+
+    return h
+
+
+def _surface_law(ctx: ProblemContext) -> Callable[[float, float], float]:
+    # (q, m) -> the outer equation's residual for the context's boundary
+    # kind, given q_func(z) and the matched inner coefficient m >= 0; each
+    # law keeps the operation order of t_func, v_func_times_erf or p_func
+    bc = ctx.bc
+    p = ctx.props
+    a1, a2, a3 = ctx.alphas
+    erf, sigma3 = specfun.erf, ctx.sigma3
+    spread = a1 / a3 - a1 / a2
+    if isinstance(bc, Robin):
+        coef = _surface_coef(bc.A_inf, ctx)
+        khat = p.k3 / (bc.h0 * math.sqrt(math.pi * a3))
+
+        def robin(q: float, m: float) -> float:
+            return q - (
+                coef * math.exp(-m * m * spread) / (khat + erf(m * sigma3))
+                - m * _exp_capped(m * m * a1 / a2)
+            )
+
+        return robin
+    if isinstance(bc, Dirichlet):
+        coef = _surface_coef(bc.A, ctx)
+
+        def dirichlet(q: float, m: float) -> float:
+            # times erf(m*sigma3): the same sign and root, still increasing,
+            # and finite at v_func's pole m = 0
+            e = erf(m * sigma3)
+            return e * q - (
+                coef * math.exp(-m * m * spread) - m * _exp_capped(m * m * a1 / a2) * e
+            )
+
+        return dirichlet
+    if isinstance(bc, Neumann):
+        flux = bc.q0 / p.l2 * math.sqrt(p.c1 / (p.rho * p.k1))
+
+        def neumann(q: float, m: float) -> float:
+            return q - _exp_capped(m * m * a1 / a2) * (
+                -m + flux * math.exp(-m * m * a1 / a3)
+            )
+
+        return neumann
+    raise MissingBoundaryDatum("the outer equation needs a boundary datum")
+
+
+def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
+    """The outer-coefficient equation of the context's boundary kind.
+
+    Returns a strictly increasing function of the outer coefficient z > z0
+    whose zero is the solved coef1.  Its value equals, bit for bit,
+    ``q_func - u_func`` (convective), ``erf(m*sigma3)*q_func -
+    v_func_times_erf(m)`` (imposed temperature) or ``q_func - p_func(m)``
+    (imposed flux), with m = max(coef2_from_coef1(z), 0).  The surface law
+    is chosen and every per-problem constant computed when the function is
+    built, and phi runs once per evaluation.  The specfun
+    kernels are bound when it is built, so build one per solve.
+
+    Raises:
+        MissingBoundaryDatum: The context has no boundary datum.
+    """
+    law = _surface_law(ctx)
+    erfc, erfc_inv, inv_erfcx = specfun.erfc, specfun.erfc_inv, specfun._inv_erfcx
+    a1, a2, _ = ctx.alphas
+    sigma2, offset = ctx.sigma2, ctx._h_offset_coef
+    ste = ctx.ste1 / _SQRT_PI
+    latent = ctx.props.l1 / ctx.props.l2
+    inner_scale = math.sqrt(a2 / a1)
+
+    def residual(z: float) -> float:
+        e = z * z * a1 / a2
+        ph = z + ste * inv_erfcx(z)
+        # coef2_from_coef1's complementary tail, then its inversion, which
+        # raises ValueError for a tail of 2 or more (z far below z0)
+        tail = erfc(z * sigma2) + offset * math.exp(-e) / ph
+        scaled = erfc_inv(tail) if tail > 0.0 else _INNER_SATURATION
+        return law(latent * ph * _exp_capped(e), max(inner_scale * scaled, 0.0))
+
+    return residual
 
 
 def find_root_monotone(

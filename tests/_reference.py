@@ -1,15 +1,50 @@
-"""Point-by-point reference implementations of the field code.
+"""Point-by-point reference implementations of the fused code.
 
 The package evaluates its fields one time row at a time
 (``solver.profile_row``).  These functions evaluate one (x, t) at a time,
 with the per-point classification, scaling and stencil loop the row code
 replaced, and the tests assert that the row code equals them bit for bit.
+
+The solvers share one fused outer residual
+(``transcendental.outer_residual``).  ``outer_residual`` below composes the
+point functions as each solver's own residual did before, and the tests
+assert that the fused residual equals it bit for bit.
 """
 
 import math
 
 from stefan3 import specfun, verify
 from stefan3.errors import StencilCrossesFront
+from stefan3.model import Dirichlet, Neumann, Robin
+from stefan3.transcendental import (
+    coef2_from_coef1,
+    p_func,
+    q_func,
+    u_func,
+    v_func_times_erf,
+)
+
+
+def outer_residual(ctx):
+    """The outer equation of the context's kind, from the point functions."""
+    if isinstance(ctx.bc, Robin):
+        return lambda z: q_func(z, ctx) - u_func(z, ctx)
+    if isinstance(ctx.bc, Dirichlet):
+
+        def f(z):
+            m = max(coef2_from_coef1(z, ctx), 0.0)
+            return specfun.erf(m * ctx.sigma3) * q_func(z, ctx) - v_func_times_erf(
+                m, ctx
+            )
+
+        return f
+    assert isinstance(ctx.bc, Neumann)
+
+    def f(z):
+        m = coef2_from_coef1(z, ctx)
+        return q_func(z, ctx) - p_func(max(m, 0.0), ctx)
+
+    return f
 from stefan3.solver import _FRONT_BAND, free_boundaries
 
 

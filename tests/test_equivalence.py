@@ -294,8 +294,39 @@ def test_mapping_a_solved_source_searches_only_for_the_target(
     n = len(searches)
     rep = mapping(ctx, target, sol.surface_temp + 5.0 if target == "robin" else None)
     assert len(searches) == n + 1
+    # seeded with the source's coef1, the target's own search closes its
+    # bracket in a few evaluations (a cold search takes about 10)
+    assert searches[-1][0] == "outer" and searches[-1][1] <= 6
     assert rep.source == sol
     assert rep.coef1_delta < DELTA_TOL and rep.coef2_delta < DELTA_TOL
+
+
+@pytest.mark.parametrize("kind", ["robin", "dirichlet", "neumann"])
+def test_a_seed_without_the_root_falls_back_to_the_cold_bracket(kind, searches):
+    from stefan3.solver import _solve_outer
+
+    bc = {"robin": Robin(h0=100.0, A_inf=334.0), "dirichlet": Dirichlet(A=331.0),
+          "neumann": Neumann(q0=300.0)}[kind]
+    cold = _solve_outer(ProblemContext(PROPS, TEMPS, bc), 1e-12)
+    z0 = cold.ctx.z0
+    for seed in (cold.coef1 * (1.0 + 1e-6), cold.coef1 * (1.0 - 1e-6), 0.5 * z0):
+        ctx = ProblemContext(PROPS, TEMPS, bc)
+        del searches[:]
+        sol = _solve_outer(ctx, 1e-12, seed=seed)
+        assert sol.coef1 == pytest.approx(cold.coef1, rel=1e-12, abs=0.0)
+        assert sol.coef2 == pytest.approx(cold.coef2, rel=1e-12, abs=0.0)
+        assert ctx.roots[1e-12] == (sol.coef1, sol.coef2)
+        outer = [n for k, n in searches if k == "outer"]
+        if seed < z0:
+            # a bracket below z0 is never searched
+            assert len(outer) == 1
+        elif seed > cold.coef1:
+            # the seeded bracket lies above the root: it fails, then the
+            # cold bracket solves
+            assert len(outer) == 2
+        else:
+            # doubling from the seeded bracket reaches the root above it
+            assert len(outer) == 1
 
 
 def test_every_mapping_guards_its_source_kind(

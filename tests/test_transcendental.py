@@ -253,3 +253,90 @@ def test_root_search_typical_cost(searches):
     # plain bisection takes 49 for each
     assert median(outer) <= 12
     assert median(z0) <= 12
+
+
+def _kernel_contexts():
+    from conftest import DIRICHLET, NEUMANN, PROPS, ROBIN, TEMPS
+    from _random_sets import make_sets
+
+    s = make_sets(1)[0]  # distinct diffusivities in every phase
+    assert len(set(s["ctx"].alphas)) == 3
+    return [ProblemContext(PROPS, TEMPS, bc) for bc in (ROBIN, DIRICHLET, NEUMANN)] + [
+        s["ctx"].with_bc(s[kind]) for kind in ("robin", "dirichlet", "neumann")
+    ]
+
+
+def _z_grid(ctx):
+    # from just above z0, through the asymptotic phi branch at 6, to past
+    # the point where z*z*alpha1/alpha2 reaches _EXP_CAP and exp() saturates
+    saturation = math.sqrt(690.0 * ctx.alpha2 / ctx.alpha1)
+    zs = [ctx.z0 + d for d in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)]
+    zs += [ctx.z0 + 1e-3 * 1.25**i for i in range(50)]
+    zs += [saturation * (1.0 + d) for d in (-1e-12, 0.0, 1e-12)]
+    zs += [1.5 * saturation, 100.0, 1e4]
+    assert max(zs) > saturation
+    return sorted(zs)
+
+
+def test_fused_outer_residual_equals_the_point_functions_bit_for_bit():
+    import _reference as R
+    from stefan3.transcendental import outer_residual
+
+    for ctx in _kernel_contexts():
+        fused, reference = outer_residual(ctx), R.outer_residual(ctx)
+        values = [(fused(z), reference(z)) for z in _z_grid(ctx)]
+        assert all(a == b for a, b in values), ctx.bc
+        # the grid reaches both signs and the saturated far end
+        assert values[0][1] < 0.0 < values[-1][1]
+
+
+def test_fused_h_kernel_equals_h_func_bit_for_bit():
+    from stefan3.transcendental import _h_kernel
+
+    for ctx in _kernel_contexts():
+        h = _h_kernel(ctx)
+        # densely around z0, where h is small and no rounding of the
+        # subtracted term is absorbed by erf
+        zs = [0.0, 1e-300, 1e-12] + [ctx.z0 * i / 64 for i in range(1, 193)]
+        zs += _z_grid(ctx)
+        assert all(h(z) == h_func(z, ctx) for z in zs), ctx.bc
+        assert h(ctx.z0) == h_func(ctx.z0, ctx)
+
+
+def test_outer_residual_needs_a_boundary_datum(ctx_plain):
+    from stefan3.transcendental import outer_residual
+
+    with pytest.raises(MissingBoundaryDatum):
+        outer_residual(ctx_plain)
+
+
+# Calls one cold solve of each tests/conftest.py problem made before the
+# residual was fused, when each outer-residual evaluation ran phi twice.
+PARENT_ERFC_INV_CALLS = {"robin": 9, "dirichlet": 11, "neumann": 18}
+PARENT_INV_ERFCX_CALLS = 27 + 31 + 45
+
+
+def test_fused_residual_runs_phi_once_per_evaluation(monkeypatch, searches):
+    from conftest import DIRICHLET, NEUMANN, PROPS, ROBIN, TEMPS
+    from stefan3 import solve_dirichlet, solve_neumann, solve_robin
+
+    calls = {"erfc_inv": 0, "_inv_erfcx": 0}
+    for name in calls:
+        kernel = getattr(specfun, name)
+
+        def counted(x, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(x)
+
+        monkeypatch.setattr(specfun, name, counted)
+    erfc_inv = {}
+    for bc, solver in (
+        (ROBIN, solve_robin), (DIRICHLET, solve_dirichlet), (NEUMANN, solve_neumann)
+    ):
+        before = calls["erfc_inv"]
+        solver(ProblemContext(PROPS, TEMPS, bc))  # z0 is searched afresh too
+        erfc_inv[bc.kind] = calls["erfc_inv"] - before
+    assert erfc_inv == PARENT_ERFC_INV_CALLS
+    outer = sum(n for kind, n in searches if kind == "outer")
+    assert [kind for kind, _ in searches] == ["z0", "outer"] * 3
+    assert calls["_inv_erfcx"] == PARENT_INV_ERFCX_CALLS - outer
