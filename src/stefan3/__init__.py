@@ -40,7 +40,7 @@ from .model import (
     stefan_numbers,
     validate,
 )
-from .transcendental import ProblemContext, find_root_monotone, solve_z0
+from .transcendental import ProblemContext, find_root_monotone
 from .solver import (
     Regime,
     ThreePhaseSolution,
@@ -143,7 +143,6 @@ __all__ = [
     "solve_dirichlet",
     "solve_neumann",
     "solve_robin",
-    "solve_z0",
     "stefan_numbers",
     "stefan_residual",
     "surface_values",

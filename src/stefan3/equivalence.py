@@ -1,17 +1,16 @@
 """Parameter equivalences among the three boundary conditions.
 
-Any solved problem fixes a surface temperature and a surface-flux
-coefficient, and each mapping reads off the datum that would make another
-boundary condition reproduce the identical temperature field.  Every
-mapping therefore takes its source problem's solution, checks the
-inequality guaranteeing the target datum is admissible, then solves the
-target problem so the caller can see the front coefficients agree.  The
-source is solved once per context: ``solve`` records its front
-coefficients on the context, so a source the caller has already solved
-is not solved again.  The target's search tries a bracket of relative
-width 2e-9 around the source's coef1 first, inside the target's own
-residual, and falls back to the cold bracket when that bracket holds no
-sign change; either way the agreement is found, not assumed.
+A solved problem fixes a surface temperature T(0) and a surface-flux
+coefficient, and every equivalent datum is read off those two numbers:
+A = T(0), q0 = the flux coefficient, and h0 = flux coefficient /
+(A_inf - T(0)) for a chosen bulk temperature A_inf.  ``mapping`` keeps
+one table keyed by the target kind, each entry naming the datum, reading
+it off the solved source and bounding it by its admissibility hypothesis;
+the six named mappings check the source's kind and call it.  The source
+is solved once per context (``solve`` records its roots on the context).
+The target is then solved by its own search, which tries a bracket of
+relative width 2e-9 around the source's coef1 first and falls back to the
+cold bracket, so the coefficients' agreement is found, not assumed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Optional
 
 from . import specfun
 from .errors import HypothesisError, MissingBoundaryDatum, ValidationError
-from .model import BoundarySpec, Dirichlet, Neumann, Robin, Violation
+from .model import Dirichlet, Neumann, Robin, Violation
 from .transcendental import ProblemContext, find_root_monotone
 from .solver import ThreePhaseSolution, _solve_outer, solve, thresholds
 
@@ -88,16 +87,78 @@ def _checked(check: HypothesisCheck) -> HypothesisCheck:
     return check
 
 
-def _report(src, tgt, datum_name, value, checks) -> EquivalenceReport:
-    return EquivalenceReport(
-        source_kind=src.kind,
-        target_kind=tgt.kind,
-        datum_name=datum_name,
-        mapped_value=value,
-        hypotheses=tuple(checks),
-        source=src,
-        target=tgt,
-    )
+def _invalid(code: str, message: str) -> ValidationError:
+    return ValidationError([Violation(code, message)])
+
+
+def _require_bulk(ctx: ProblemContext, a_inf: Optional[float]) -> None:
+    # the checks of a convective target's bulk temperature that need no solution
+    if a_inf is None:
+        raise MissingBoundaryDatum(
+            "mapping to a convective condition needs a bulk temperature A_inf"
+        )
+    if isinstance(ctx.bc, Dirichlet) and a_inf <= ctx.bc.A:
+        raise _invalid(
+            "BULK_NOT_ABOVE_A", "A_inf must exceed the imposed surface temperature"
+        )
+    if a_inf <= ctx.temps.B:
+        raise _invalid("BULK_NOT_ABOVE_B", "A_inf must exceed B")
+
+
+def _mapped_h0(src: ThreePhaseSolution, a_inf: float) -> float:
+    if a_inf <= src.surface_temp:
+        raise _invalid(
+            "BULK_NOT_ABOVE_MAPPED_SURFACE",
+            "A_inf must exceed the surface temperature the flux induces, "
+            "otherwise no positive h0 is equivalent",
+        )
+    return src.flux_coef / (a_inf - src.surface_temp)
+
+
+# target kind -> (datum name, target class, hypothesis, the datum read off the
+# solved source, the bound the hypothesis requires it to exceed); a_inf is
+# the bulk temperature of a convective target
+_TARGETS = {
+    "dirichlet": ("A", Dirichlet, "mapped_A_above_B",
+                  lambda src, a_inf: src.surface_temp,
+                  lambda src, a_inf: src.ctx.temps.B),
+    "neumann": ("q0", Neumann, "mapped_q0_above_q2",
+                lambda src, a_inf: src.flux_coef,
+                lambda src, a_inf: src.thresh.q2),
+    "robin": ("h0", Robin, "mapped_h0_above_h2", _mapped_h0,
+              lambda src, a_inf: thresholds(src.ctx, a_inf).h2),
+}
+
+
+def mapping(
+    ctx: ProblemContext, target_kind: str, a_inf: Optional[float] = None
+) -> EquivalenceReport:
+    """Map the context's boundary datum onto target_kind.
+
+    a_inf, the bulk temperature, is needed and used only by a convective
+    target; any value above the source's surface temperature gives a
+    different but equivalent h0.
+    """
+    if ctx.bc is None:
+        raise MissingBoundaryDatum("mapping needs a source boundary datum")
+    if ctx.bc.kind == target_kind:
+        raise _invalid(
+            "SAME_KIND",
+            f"source and target boundary kinds are both {target_kind!r}; "
+            "nothing to map",
+        )
+    if target_kind not in _TARGETS:
+        raise _invalid("BAD_TARGET_KIND", f"unknown target kind {target_kind!r}")
+    name, cls, hypothesis, read, bound = _TARGETS[target_kind]
+    bulk = ()
+    if cls is Robin:
+        _require_bulk(ctx, a_inf)
+        bulk = (a_inf,)
+    src = solve(ctx)
+    value = read(src, a_inf)
+    check = _checked(HypothesisCheck(hypothesis, value, bound(src, a_inf)))
+    tgt = _solve_outer(ctx.with_bc(cls(value, *bulk)), 1e-12, seed=src.coef1)
+    return EquivalenceReport(src.kind, target_kind, name, value, (check,), src, tgt)
 
 
 _SOURCE_NEEDS = {
@@ -107,30 +168,21 @@ _SOURCE_NEEDS = {
 }
 
 
-def _require_source(ctx: ProblemContext, kind: type) -> None:
+def _of_kind(ctx: ProblemContext, kind: type) -> ProblemContext:
+    # the context, once its datum is of the mapping's source kind
     if not isinstance(ctx.bc, kind):
         raise MissingBoundaryDatum(f"source problem must {_SOURCE_NEEDS[kind]}")
-
-
-def _source(ctx: ProblemContext, kind: type) -> ThreePhaseSolution:
-    # the source's own solution, solved at most once per context
-    _require_source(ctx, kind)
-    return solve(ctx)
-
-
-def _target(src: ThreePhaseSolution, bc: BoundarySpec) -> ThreePhaseSolution:
-    # the source's problem under the mapped datum, solved by a search that
-    # starts next to the source's coef1 and falls back to the cold bracket
-    return _solve_outer(src.ctx.with_bc(bc), 1e-12, seed=src.coef1)
+    return ctx
 
 
 def robin_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a convective datum (h0, A_inf)."""
-    src = _source(ctx, Robin)
-    a = src.surface_temp
-    check = _checked(HypothesisCheck("mapped_A_above_B", a, ctx.temps.B))
-    tgt = _target(src, Dirichlet(A=a))
-    return _report(src, tgt, "A", a, [check])
+    return mapping(_of_kind(ctx, Robin), "dirichlet")
+
+
+def robin_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
+    """Flux coefficient equivalent to a convective datum (h0, A_inf)."""
+    return mapping(_of_kind(ctx, Robin), "neumann")
 
 
 def dirichlet_to_robin(
@@ -141,63 +193,17 @@ def dirichlet_to_robin(
     The bulk temperature is free, so it must be supplied; any a_inf above A
     works and each choice gives a different but equivalent h0.
     """
-    _require_source(ctx, Dirichlet)
-    if a_inf is None:
-        raise MissingBoundaryDatum(
-            "mapping to a convective condition needs a bulk temperature A_inf"
-        )
-    a = ctx.bc.A
-    if a_inf <= a:
-        raise ValidationError(
-            [
-                Violation(
-                    "BULK_NOT_ABOVE_A",
-                    "A_inf must exceed the imposed surface temperature",
-                )
-            ]
-        )
-    src = solve(ctx)
-    p, t = ctx.props, ctx.temps
-    h0 = (
-        p.k3
-        * (a - t.B)
-        / (
-            math.sqrt(ctx.alpha3 * math.pi)
-            * (a_inf - a)
-            * specfun.erf(src.coef2 * ctx.sigma3)
-        )
-    )
-    h2 = thresholds(ctx, a_inf).h2
-    check = _checked(HypothesisCheck("mapped_h0_above_h2", h0, h2))
-    tgt = _target(src, Robin(h0=h0, A_inf=a_inf))
-    return _report(src, tgt, "h0", h0, [check])
+    return mapping(_of_kind(ctx, Dirichlet), "robin", a_inf)
 
 
 def dirichlet_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     """Flux coefficient equivalent to an imposed temperature A."""
-    src = _source(ctx, Dirichlet)
-    q0 = src.flux_coef
-    check = _checked(HypothesisCheck("mapped_q0_above_q2", q0, src.thresh.q2))
-    tgt = _target(src, Neumann(q0=q0))
-    return _report(src, tgt, "q0", q0, [check])
+    return mapping(_of_kind(ctx, Dirichlet), "neumann")
 
 
 def neumann_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a flux coefficient q0."""
-    src = _source(ctx, Neumann)
-    a = src.surface_temp
-    check = _checked(HypothesisCheck("mapped_A_above_B", a, ctx.temps.B))
-    tgt = _target(src, Dirichlet(A=a))
-    return _report(src, tgt, "A", a, [check])
-
-
-def robin_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
-    """Flux coefficient equivalent to a convective datum (h0, A_inf)."""
-    src = _source(ctx, Robin)
-    q0 = src.flux_coef
-    check = _checked(HypothesisCheck("mapped_q0_above_q2", q0, src.thresh.q2))
-    tgt = _target(src, Neumann(q0=q0))
-    return _report(src, tgt, "q0", q0, [check])
+    return mapping(_of_kind(ctx, Neumann), "dirichlet")
 
 
 def neumann_to_robin(
@@ -208,66 +214,7 @@ def neumann_to_robin(
     Needs a bulk temperature strictly above the surface temperature the
     flux induces; below that no positive h0 can reproduce the field.
     """
-    _require_source(ctx, Neumann)
-    if a_inf is None:
-        raise MissingBoundaryDatum(
-            "mapping to a convective condition needs a bulk temperature A_inf"
-        )
-    if a_inf <= ctx.temps.B:
-        raise ValidationError(
-            [Violation("BULK_NOT_ABOVE_B", "A_inf must exceed B")]
-        )
-    src = solve(ctx)
-    denom = a_inf - src.surface_temp
-    if denom <= 0.0:
-        raise ValidationError(
-            [
-                Violation(
-                    "BULK_NOT_ABOVE_MAPPED_SURFACE",
-                    "A_inf must exceed the surface temperature the flux "
-                    "induces, otherwise no positive h0 is equivalent",
-                )
-            ]
-        )
-    h0 = ctx.bc.q0 / denom
-    h2 = thresholds(ctx, a_inf).h2
-    check = _checked(HypothesisCheck("mapped_h0_above_h2", h0, h2))
-    tgt = _target(src, Robin(h0=h0, A_inf=a_inf))
-    return _report(src, tgt, "h0", h0, [check])
-
-
-_MAPPINGS = {
-    ("robin", "dirichlet"): lambda ctx, a_inf: robin_to_dirichlet(ctx),
-    ("robin", "neumann"): lambda ctx, a_inf: robin_to_neumann(ctx),
-    ("dirichlet", "robin"): dirichlet_to_robin,
-    ("dirichlet", "neumann"): lambda ctx, a_inf: dirichlet_to_neumann(ctx),
-    ("neumann", "dirichlet"): lambda ctx, a_inf: neumann_to_dirichlet(ctx),
-    ("neumann", "robin"): neumann_to_robin,
-}
-
-
-def mapping(
-    ctx: ProblemContext, target_kind: str, a_inf: Optional[float] = None
-) -> EquivalenceReport:
-    """Run the mapping from the context's condition kind to target_kind."""
-    if ctx.bc is None:
-        raise MissingBoundaryDatum("mapping needs a source boundary datum")
-    key = (ctx.bc.kind, target_kind)
-    if ctx.bc.kind == target_kind:
-        raise ValidationError(
-            [
-                Violation(
-                    "SAME_KIND",
-                    "source and target boundary kinds are both "
-                    f"{target_kind!r}; nothing to map",
-                )
-            ]
-        )
-    if key not in _MAPPINGS:
-        raise ValidationError(
-            [Violation("BAD_TARGET_KIND", f"unknown target kind {target_kind!r}")]
-        )
-    return _MAPPINGS[key](ctx, a_inf)
+    return mapping(_of_kind(ctx, Neumann), "robin", a_inf)
 
 
 @dataclass(frozen=True)
@@ -332,13 +279,9 @@ def corollary_checks(
     ]
     if a_inf is not None:
         if a_inf <= a:
-            raise ValidationError(
-                [
-                    Violation(
-                        "BULK_NOT_ABOVE_SURFACE",
-                        "bulk temperature must exceed the surface temperature",
-                    )
-                ]
+            raise _invalid(
+                "BULK_NOT_ABOVE_SURFACE",
+                "bulk temperature must exceed the surface temperature",
             )
         out.insert(
             0,

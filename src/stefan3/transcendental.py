@@ -1,24 +1,24 @@
 """Scalar reduction of the three-phase similarity system.
 
-Everything the solvers need is expressed through a handful of scalar
-functions of the front coefficients.  The key objects are:
+Everything the solvers need is expressed through a few scalar functions of
+the front coefficients:
 
 * ``phi``: strictly increasing kernel entering the solid-side balance.
-* ``h_func``: the map whose unique positive zero ``z0`` separates the
-  admissible range of the outer front coefficient; above ``z0`` it gives,
-  through ``coef2_from_coef1``, the inner coefficient matched to an outer
-  one.
-* ``q_func`` and the boundary-specific ``t_func``/``v_func``/``p_func``:
-  the two sides of the single remaining equation for the outer coefficient
-  (``v_func_times_erf`` is ``v_func`` without its pole).
-* ``outer_residual``: that equation as one function of the outer
-  coefficient, built once per solve.  It picks the surface law of the
-  context's boundary kind once, hoists every per-problem constant, and
-  evaluates ``phi`` once per point; its values equal the point functions
-  composed (``q_func - u_func`` and its two siblings) bit for bit.
+* h(z) = erf(z*sigma2) - c*exp(-z^2 alpha1/alpha2)/phi(z): strictly
+  increasing, and its unique positive zero ``z0`` bounds the admissible
+  outer front coefficient from below.  Above z0, ``coef2_from_coef1``
+  solves erf(coef2*sigma2) = h(z) for the inner coefficient matched to an
+  outer one.  ``_h_kernel`` evaluates h for the z0 search.
+* ``outer_residual``: the single remaining equation for the outer
+  coefficient, built once per solve: q(z) = (l1/l2) phi(z)
+  exp(z^2 alpha1/alpha2) against the surface law of the context's
+  boundary kind at the matched inner coefficient.  It picks the law once,
+  hoists every per-problem constant, and evaluates phi once per point.
 
-The point functions are parameterized by an immutable ProblemContext and
-stay the reference the fused kernels are tested against.
+The point-by-point forms (``h_func``, ``q_func``, ``t_func``/``u_func``,
+``v_func``, ``p_func``) live in the tests' reference module,
+``tests/_reference.py``, which checks the fused kernels against them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class ProblemContext:
 
     @cached_property
     def z0(self) -> float:
-        """Unique positive zero of h_func, found by find_root_monotone."""
+        """Unique positive zero of h, found by find_root_monotone."""
         return find_root_monotone(_h_kernel(self), 0.0, hi_start=1.0, tol=1e-13)
 
     @cached_property
@@ -169,7 +169,7 @@ def phi(z: float, ctx: ProblemContext) -> float:
 
 
 def _h_subtracted(z: float, ctx: ProblemContext) -> float:
-    # the strictly positive term subtracted from erf(z*sigma2) in h_func
+    # the strictly positive term subtracted from erf(z*sigma2) in h
     return (
         ctx._h_offset_coef
         * math.exp(-z * z * ctx.alpha1 / ctx.alpha2)
@@ -177,68 +177,22 @@ def _h_subtracted(z: float, ctx: ProblemContext) -> float:
     )
 
 
-def h_func(z: float, ctx: ProblemContext) -> float:
-    """Strictly increasing map with h_func(0) < 0 and limit 1 at infinity.
-
-    Its zero z0 is the smallest outer-front coefficient for which a matched
-    inner front exists.
-    """
-    if z < 0.0:
-        raise ValueError("h_func is defined for z >= 0")
-    return specfun.erf(z * ctx.sigma2) - _h_subtracted(z, ctx)
-
-
 def coef2_from_coef1(z: float, ctx: ProblemContext) -> float:
     """Inner-front coefficient matched to an outer coefficient z > z0.
 
-    Solves erf(coef2 * sqrt(alpha1/alpha2)) = h_func(z) for coef2.  The
-    inversion goes through the complementary tail erfc = 1 - h_func, which
-    keeps full precision where h_func is within rounding distance of 1;
-    forming 1 - h_func after the fact would lose the answer entirely there.
+    Solves erf(coef2 * sqrt(alpha1/alpha2)) = h(z) for coef2.  The
+    inversion goes through the complementary tail erfc = 1 - h, which
+    keeps full precision where h is within rounding distance of 1;
+    forming 1 - h after the fact would lose the answer entirely there.
     """
     tail = specfun.erfc(z * ctx.sigma2) + _h_subtracted(z, ctx)
     if tail <= 0.0:
         scaled = _INNER_SATURATION
     elif tail >= 2.0:
-        raise ValueError("h_func(z) < -1: z is far below z0")
+        raise ValueError("h(z) < -1: z is far below z0")
     else:
         scaled = specfun.erfc_inv(tail)
     return math.sqrt(ctx.alpha2 / ctx.alpha1) * scaled
-
-
-def q_func(z: float, ctx: ProblemContext) -> float:
-    """Left side of the outer-coefficient equation, strictly increasing.
-
-    q_func(z) = (l1/l2) * phi(z) * exp(z^2 alpha1/alpha2), z >= 0.
-    """
-    if z < 0.0:
-        raise ValueError("q_func is defined for z >= 0")
-    p = ctx.props
-    return (
-        p.l1 / p.l2 * phi(z, ctx) * _exp_capped(z * z * ctx.alpha1 / ctx.alpha2)
-    )
-
-
-def _robin_datum(ctx: ProblemContext) -> Robin:
-    if not isinstance(ctx.bc, Robin):
-        raise MissingBoundaryDatum(
-            "operation needs a convective boundary (h0 and A_inf)"
-        )
-    return ctx.bc
-
-
-def _dirichlet_datum(ctx: ProblemContext) -> Dirichlet:
-    if not isinstance(ctx.bc, Dirichlet):
-        raise MissingBoundaryDatum(
-            "operation needs an imposed surface temperature A"
-        )
-    return ctx.bc
-
-
-def _neumann_datum(ctx: ProblemContext) -> Neumann:
-    if not isinstance(ctx.bc, Neumann):
-        raise MissingBoundaryDatum("operation needs a surface flux coefficient q0")
-    return ctx.bc
 
 
 def _surface_coef(surface: float, ctx: ProblemContext) -> float:
@@ -251,81 +205,10 @@ def _surface_coef(surface: float, ctx: ProblemContext) -> float:
     )
 
 
-def t_func(z: float, ctx: ProblemContext) -> float:
-    """Right side of the outer equation for the convective condition.
-
-    Strictly decreasing in z; evaluated at the matched inner coefficient.
-    """
-    if z < 0.0:
-        raise ValueError("t_func is defined for z >= 0")
-    bc = _robin_datum(ctx)
-    p = ctx.props
-    a1, a2, a3 = ctx.alphas
-    coef = _surface_coef(bc.A_inf, ctx)
-    khat = p.k3 / (bc.h0 * math.sqrt(math.pi * a3))
-    decay = math.exp(-z * z * (a1 / a3 - a1 / a2))
-    return coef * decay / (khat + specfun.erf(z * ctx.sigma3)) - z * _exp_capped(
-        z * z * a1 / a2
-    )
-
-
-def v_func(z: float, ctx: ProblemContext) -> float:
-    """Right side of the outer equation for the imposed-temperature condition.
-
-    Singular as z -> 0+, strictly decreasing on z > 0.
-    """
-    if z <= 0.0:
-        raise ValueError("v_func is defined for z > 0")
-    return v_func_times_erf(z, ctx) / specfun.erf(z * ctx.sigma3)
-
-
-def v_func_times_erf(z: float, ctx: ProblemContext) -> float:
-    """v_func(z) * erf(z * sigma3), which is finite where v_func has its pole.
-
-    Strictly decreasing on z >= 0 from its positive value at 0, so the
-    imposed-temperature equation can be solved in this form without a
-    sentinel for the pole.
-    """
-    if z < 0.0:
-        raise ValueError("v_func_times_erf is defined for z >= 0")
-    bc = _dirichlet_datum(ctx)
-    a1, a2, a3 = ctx.alphas
-    coef = _surface_coef(bc.A, ctx)
-    return coef * math.exp(-z * z * (a1 / a3 - a1 / a2)) - z * _exp_capped(
-        z * z * a1 / a2
-    ) * specfun.erf(z * ctx.sigma3)
-
-
-def p_func(z: float, ctx: ProblemContext) -> float:
-    """Right side of the outer equation for the imposed-flux condition."""
-    if z < 0.0:
-        raise ValueError("p_func is defined for z >= 0")
-    bc = _neumann_datum(ctx)
-    p = ctx.props
-    a1, a2, a3 = ctx.alphas
-    return _exp_capped(z * z * a1 / a2) * (
-        -z
-        + bc.q0
-        / p.l2
-        * math.sqrt(p.c1 / (p.rho * p.k1))
-        * math.exp(-z * z * a1 / a3)
-    )
-
-
-def u_func(z: float, ctx: ProblemContext) -> float:
-    """Convective right side composed with the inner-coefficient match.
-
-    Defined for z > z0 only, where the match exists; strictly decreasing.
-    """
-    if z <= ctx.z0:
-        raise ValueError("u_func is defined for z > z0")
-    return t_func(coef2_from_coef1(z, ctx), ctx)
-
-
 def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
-    # h_func for z >= 0 with the per-material constants hoisted; equal to it
-    # bit for bit.  The kernels are bound here, once per search, so wrappers
-    # installed on specfun see every call.
+    # h for z >= 0 with the per-material constants hoisted.  The kernels
+    # are bound here, once per search, so wrappers installed on specfun see
+    # every call.
     erf, inv_erfcx = specfun.erf, specfun._inv_erfcx
     a1, a2, _ = ctx.alphas
     sigma2, offset = ctx.sigma2, ctx._h_offset_coef
@@ -341,8 +224,7 @@ def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
 
 def _surface_law(ctx: ProblemContext) -> Callable[[float, float], float]:
     # (q, m) -> the outer equation's residual for the context's boundary
-    # kind, given q_func(z) and the matched inner coefficient m >= 0; each
-    # law keeps the operation order of t_func, v_func_times_erf or p_func
+    # kind, given q(z) and the matched inner coefficient m >= 0
     bc = ctx.bc
     p = ctx.props
     a1, a2, a3 = ctx.alphas
@@ -364,7 +246,7 @@ def _surface_law(ctx: ProblemContext) -> Callable[[float, float], float]:
 
         def dirichlet(q: float, m: float) -> float:
             # times erf(m*sigma3): the same sign and root, still increasing,
-            # and finite at v_func's pole m = 0
+            # and finite at the law's pole m = 0
             e = erf(m * sigma3)
             return e * q - (
                 coef * math.exp(-m * m * spread) - m * _exp_capped(m * m * a1 / a2) * e
@@ -387,13 +269,11 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
     """The outer-coefficient equation of the context's boundary kind.
 
     Returns a strictly increasing function of the outer coefficient z > z0
-    whose zero is the solved coef1.  Its value equals, bit for bit,
-    ``q_func - u_func`` (convective), ``erf(m*sigma3)*q_func -
-    v_func_times_erf(m)`` (imposed temperature) or ``q_func - p_func(m)``
-    (imposed flux), with m = max(coef2_from_coef1(z), 0).  The surface law
-    is chosen and every per-problem constant computed when the function is
-    built, and phi runs once per evaluation.  The specfun
-    kernels are bound when it is built, so build one per solve.
+    whose zero is the solved coef1: q(z) minus the surface law at
+    m = max(coef2_from_coef1(z), 0), both times erf(m*sigma3) for an imposed
+    temperature.  The surface law is chosen and every per-problem constant
+    computed when the function is built, and phi runs once per evaluation.
+    The specfun kernels are bound when it is built, so build one per solve.
 
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
@@ -544,8 +424,3 @@ def _interpolate(
         if a < x < b:
             return x
     return secant
-
-
-def solve_z0(ctx: ProblemContext) -> float:
-    """Zero of h_func for this material; cached on the context."""
-    return ctx.z0

@@ -1,28 +1,136 @@
 """Point-by-point reference implementations of the fused code.
 
-The package evaluates its fields one time row at a time
-(``solver.profile_row``).  These functions evaluate one (x, t) at a time,
-with the per-point classification, scaling and stencil loop the row code
-replaced, and the tests assert that the row code equals them bit for bit.
-
-The solvers share one fused outer residual
-(``transcendental.outer_residual``).  ``outer_residual`` below composes the
+The scalar functions of the outer-coefficient equation, one z at a time:
+``h_func``, whose zero is z0, the left side ``q_func``, and the surface
+laws ``t_func`` (convective, composed with the inner match as
+``u_func``), ``v_func`` (imposed temperature; ``v_func_times_erf`` is it
+without its pole) and ``p_func`` (imposed flux).  The package evaluates
+them fused, in ``transcendental._h_kernel`` and
+``transcendental.outer_residual``; ``outer_residual`` below composes the
 point functions as each solver's own residual did before, and the tests
-assert that the fused residual equals it bit for bit.
+assert that the fused kernels equal them bit for bit.
+
+The package evaluates its fields one time row at a time
+(``solver.profile_row``).  The functions after those evaluate one (x, t)
+at a time, with the per-point classification, scaling and stencil loop the
+row code replaced, and the tests assert that the row code equals them bit
+for bit.
 """
 
 import math
 
 from stefan3 import specfun, verify
-from stefan3.errors import StencilCrossesFront
+from stefan3.errors import MissingBoundaryDatum, StencilCrossesFront
 from stefan3.model import Dirichlet, Neumann, Robin
+from stefan3.solver import _FRONT_BAND, free_boundaries
 from stefan3.transcendental import (
+    _exp_capped,
+    _h_subtracted,
+    _surface_coef,
     coef2_from_coef1,
-    p_func,
-    q_func,
-    u_func,
-    v_func_times_erf,
+    phi,
 )
+
+
+def h_func(z, ctx):
+    """Strictly increasing map with h_func(0) < 0 and limit 1 at infinity.
+
+    Its zero z0 is the smallest outer-front coefficient for which a matched
+    inner front exists.
+    """
+    if z < 0.0:
+        raise ValueError("h_func is defined for z >= 0")
+    return specfun.erf(z * ctx.sigma2) - _h_subtracted(z, ctx)
+
+
+def q_func(z, ctx):
+    """Left side of the outer-coefficient equation, strictly increasing.
+
+    q_func(z) = (l1/l2) * phi(z) * exp(z^2 alpha1/alpha2), z >= 0.
+    """
+    if z < 0.0:
+        raise ValueError("q_func is defined for z >= 0")
+    p = ctx.props
+    return (
+        p.l1 / p.l2 * phi(z, ctx) * _exp_capped(z * z * ctx.alpha1 / ctx.alpha2)
+    )
+
+
+def _datum(ctx, kind):
+    if not isinstance(ctx.bc, kind):
+        raise MissingBoundaryDatum(f"operation needs a {kind.kind} boundary datum")
+    return ctx.bc
+
+
+def t_func(z, ctx):
+    """Right side of the outer equation for the convective condition.
+
+    Strictly decreasing in z; evaluated at the matched inner coefficient.
+    """
+    if z < 0.0:
+        raise ValueError("t_func is defined for z >= 0")
+    bc = _datum(ctx, Robin)
+    p = ctx.props
+    a1, a2, a3 = ctx.alphas
+    coef = _surface_coef(bc.A_inf, ctx)
+    khat = p.k3 / (bc.h0 * math.sqrt(math.pi * a3))
+    decay = math.exp(-z * z * (a1 / a3 - a1 / a2))
+    return coef * decay / (khat + specfun.erf(z * ctx.sigma3)) - z * _exp_capped(
+        z * z * a1 / a2
+    )
+
+
+def v_func(z, ctx):
+    """Right side of the outer equation for the imposed-temperature condition.
+
+    Singular as z -> 0+, strictly decreasing on z > 0.
+    """
+    if z <= 0.0:
+        raise ValueError("v_func is defined for z > 0")
+    return v_func_times_erf(z, ctx) / specfun.erf(z * ctx.sigma3)
+
+
+def v_func_times_erf(z, ctx):
+    """v_func(z) * erf(z * sigma3), which is finite where v_func has its pole.
+
+    Strictly decreasing on z >= 0 from its positive value at 0, so the
+    imposed-temperature equation can be solved in this form without a
+    sentinel for the pole.
+    """
+    if z < 0.0:
+        raise ValueError("v_func_times_erf is defined for z >= 0")
+    bc = _datum(ctx, Dirichlet)
+    a1, a2, a3 = ctx.alphas
+    coef = _surface_coef(bc.A, ctx)
+    return coef * math.exp(-z * z * (a1 / a3 - a1 / a2)) - z * _exp_capped(
+        z * z * a1 / a2
+    ) * specfun.erf(z * ctx.sigma3)
+
+
+def p_func(z, ctx):
+    """Right side of the outer equation for the imposed-flux condition."""
+    if z < 0.0:
+        raise ValueError("p_func is defined for z >= 0")
+    bc = _datum(ctx, Neumann)
+    p = ctx.props
+    a1, a2, a3 = ctx.alphas
+    return _exp_capped(z * z * a1 / a2) * (
+        -z
+        + bc.q0
+        / p.l2
+        * math.sqrt(p.c1 / (p.rho * p.k1))
+        * math.exp(-z * z * a1 / a3)
+    )
+
+
+def u_func(z, ctx):
+    """Convective right side composed with the inner-coefficient match.
+
+    Defined for z > z0 only, where the match exists; strictly decreasing.
+    """
+    if z <= ctx.z0:
+        raise ValueError("u_func is defined for z > z0")
+    return t_func(coef2_from_coef1(z, ctx), ctx)
 
 
 def outer_residual(ctx):
@@ -45,7 +153,6 @@ def outer_residual(ctx):
         return q_func(z, ctx) - p_func(max(m, 0.0), ctx)
 
     return f
-from stefan3.solver import _FRONT_BAND, free_boundaries
 
 
 def _check_point(x, t):

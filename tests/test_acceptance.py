@@ -39,7 +39,7 @@ from stefan3 import (
 )
 from stefan3.cli import main as cli_main
 from stefan3.equivalence import HypothesisCheck, _checked
-from stefan3.transcendental import h_func, q_func, u_func
+from _reference import h_func, q_func, u_func
 from conftest import PROPS, TEMPS, benchmark_config
 from _random_sets import make_sets
 import _expected as E

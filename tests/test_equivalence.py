@@ -103,12 +103,27 @@ def test_mapped_field_agrees_not_just_coefficients(ctx_robin):
         )
 
 
-def test_dispatcher_routes_and_forwards_bulk(ctx_robin, ctx_dirichlet):
+def test_dispatcher_routes_and_forwards_bulk(ctx_robin, ctx_dirichlet, ctx_neumann):
     # routing only; the values themselves are pinned in the per-mapping tests
-    rep = mapping(ctx_robin, "dirichlet")
-    assert rep.mapped_value == robin_to_dirichlet(ctx_robin).mapped_value
-    rep = mapping(ctx_dirichlet, "robin", a_inf=334.0)
-    assert rep.mapped_value == dirichlet_to_robin(ctx_dirichlet, 334.0).mapped_value
+    routes = [
+        (robin_to_dirichlet, ctx_robin, "dirichlet", "A", ()),
+        (robin_to_neumann, ctx_robin, "neumann", "q0", ()),
+        (dirichlet_to_robin, ctx_dirichlet, "robin", "h0", (334.0,)),
+        (dirichlet_to_neumann, ctx_dirichlet, "neumann", "q0", ()),
+        (neumann_to_dirichlet, ctx_neumann, "dirichlet", "A", ()),
+        (neumann_to_robin, ctx_neumann, "robin", "h0", (334.0,)),
+    ]
+    for fn, ctx, target, datum, bulk in routes:
+        rep = fn(ctx, *bulk)
+        assert (rep.source_kind, rep.target_kind, rep.datum_name) == (
+            ctx.bc.kind,
+            target,
+            datum,
+        )
+        assert getattr(rep.target.ctx.bc, datum) == rep.mapped_value
+        if bulk:
+            assert rep.target.ctx.bc.A_inf == 334.0
+        assert rep == mapping(ctx, target, *bulk)
 
 
 def test_dispatcher_rejections(ctx_robin, ctx_dirichlet, ctx_plain):
@@ -142,6 +157,22 @@ def test_bulk_temperature_guards(ctx_dirichlet, ctx_neumann):
     with pytest.raises(ValidationError) as exc:
         neumann_to_robin(ctx_neumann, a_inf=328.5)
     assert exc.value.violations[0].code == "BULK_NOT_ABOVE_MAPPED_SURFACE"
+
+
+def test_bulk_checks_that_need_no_solution_run_before_the_solve(searches):
+    cases = [
+        (Dirichlet(A=331.0), None, None),
+        (Neumann(q0=300.0), None, None),
+        (Dirichlet(A=331.0), 331.0, "BULK_NOT_ABOVE_A"),
+        (Neumann(q0=300.0), 328.0, "BULK_NOT_ABOVE_B"),
+    ]
+    for bc, a_inf, code in cases:
+        ctx = ProblemContext(PROPS, TEMPS, bc)  # not solved yet
+        with pytest.raises(ValidationError if code else MissingBoundaryDatum) as exc:
+            mapping(ctx, "robin", a_inf)
+        if code:
+            assert exc.value.violations[0].code == code
+    assert searches == []
 
 
 def test_hypothesis_failure_reporting():

@@ -28,7 +28,7 @@ from stefan3 import (
     thresholds,
 )
 from stefan3.solver import phase_profile
-from stefan3.transcendental import h_func
+from _reference import h_func
 from conftest import PROPS, TEMPS
 import _expected as E
 
@@ -250,19 +250,13 @@ def test_perturbed_rebuilds_consistently(sol_robin):
     )
 
 
-def test_with_bc_inherits_z0_and_still_validates(monkeypatch):
-    from stefan3 import transcendental
-
+def test_with_bc_inherits_z0_and_still_validates(searches):
     ctx = ProblemContext(PROPS, TEMPS)
     z0 = ctx.z0
-    evals = []
-    h_func = transcendental.h_func
-    monkeypatch.setattr(
-        transcendental, "h_func", lambda z, c: evals.append(z) or h_func(z, c)
-    )
+    assert [kind for kind, _ in searches] == ["z0"]  # the fixture sees z0's search
     other = ctx.with_bc(Robin(h0=100.0, A_inf=334.0))
     assert other.z0 == z0 and other.alphas == ctx.alphas
-    assert evals == []
+    assert len(searches) == 1  # the new context searched no z0 of its own
     with pytest.raises(ValidationError):
         ctx.with_bc(Robin(h0=-1.0, A_inf=334.0))
 

@@ -10,24 +10,15 @@ from stefan3 import (
     ProblemContext,
     RootFailure,
     find_root_monotone,
-    solve_z0,
     specfun,
 )
-from stefan3.transcendental import (
-    coef2_from_coef1,
-    h_func,
-    p_func,
-    phi,
-    q_func,
-    t_func,
-    u_func,
-    v_func,
-)
+from stefan3.transcendental import coef2_from_coef1, phi
+from _reference import h_func, p_func, q_func, t_func, u_func, v_func
 import _expected as E
 
 
 def test_z0_matches_reference(ctx_robin):
-    assert solve_z0(ctx_robin) == pytest.approx(E.Z0, abs=1e-13)
+    assert ctx_robin.z0 == pytest.approx(E.Z0, abs=1e-13)
     assert abs(h_func(ctx_robin.z0, ctx_robin)) <= 1e-13
 
 
