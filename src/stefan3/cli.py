@@ -6,7 +6,7 @@ STEFAN3_LOG environment variable (quiet, info, debug).
 
 Exit codes:
     0  success
-    1  invalid input (config schema, physical invariants, usage)
+    1  invalid input (config schema, physical invariants, usage, verify step)
     2  boundary datum outside the three-phase regime
     3  root search failure
     4  a mapping hypothesis inequality failed
@@ -30,6 +30,7 @@ from .errors import (
     MissingBoundaryDatum,
     RegimeError,
     RootFailure,
+    StencilCrossesFront,
     ValidationError,
 )
 from .model import Violation, load_config
@@ -191,6 +192,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.rel_step) and args.rel_step > 0.0):
+        raise ValidationError(
+            [Violation("BAD_REL_STEP", "need a finite rel-step > 0")]
+        )
     sol = solve(_require_bc(_context(args.config)))
     if args.perturb is not None:
         log.info("perturbing both coefficients by %r", args.perturb)
@@ -221,7 +226,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, MissingBoundaryDatum) as exc:
+    except (ValidationError, MissingBoundaryDatum, StencilCrossesFront) as exc:
         if isinstance(exc, ValidationError):
             for v in exc.violations:
                 print(f"invalid input: {v.code}: {v.message}", file=sys.stderr)

@@ -97,6 +97,8 @@ def _require_bulk(ctx: ProblemContext, a_inf: Optional[float]) -> None:
         raise MissingBoundaryDatum(
             "mapping to a convective condition needs a bulk temperature A_inf"
         )
+    if not math.isfinite(a_inf):
+        raise _invalid("NOT_FINITE", "A_inf must be a finite number")
     if isinstance(ctx.bc, Dirichlet) and a_inf <= ctx.bc.A:
         raise _invalid(
             "BULK_NOT_ABOVE_A", "A_inf must exceed the imposed surface temperature"

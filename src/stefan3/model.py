@@ -224,6 +224,15 @@ def _as_number(obj: dict, key: str) -> float:
     return float(value)
 
 
+# boundary kind -> its datum class, whose fields are the JSON keys
+_BOUNDARY_KINDS = {cls.kind: cls for cls in (Robin, Dirichlet, Neumann)}
+
+
+def _from_fields(cls, obj: dict):
+    # an instance of the dataclass cls, each field read from obj as a number
+    return cls(*(_as_number(obj, f.name) for f in dataclasses.fields(cls)))
+
+
 def boundary_from_dict(obj: dict) -> BoundarySpec:
     """Build a BoundarySpec from its JSON object form."""
     if not isinstance(obj, dict):
@@ -231,20 +240,13 @@ def boundary_from_dict(obj: dict) -> BoundarySpec:
             [Violation("BAD_FIELD_TYPE", "'boundary' must be an object")]
         )
     kind = obj.get("type")
-    if kind == "robin":
-        return Robin(h0=_as_number(obj, "h0"), A_inf=_as_number(obj, "A_inf"))
-    if kind == "dirichlet":
-        return Dirichlet(A=_as_number(obj, "A"))
-    if kind == "neumann":
-        return Neumann(q0=_as_number(obj, "q0"))
-    raise ValidationError(
-        [
-            Violation(
-                "BAD_BOUNDARY_TYPE",
-                "boundary type must be one of 'robin', 'dirichlet', 'neumann'",
-            )
-        ]
-    )
+    cls = _BOUNDARY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        kinds = ", ".join(map(repr, _BOUNDARY_KINDS))
+        raise ValidationError(
+            [Violation("BAD_BOUNDARY_TYPE", f"boundary type must be one of {kinds}")]
+        )
+    return _from_fields(cls, obj)
 
 
 def boundary_to_dict(bc: BoundarySpec) -> dict:
@@ -268,20 +270,8 @@ def config_from_dict(
         raise ValidationError(
             [Violation("BAD_CONFIG", "config root must be a JSON object")]
         )
-    props = MaterialProperties(
-        k1=_as_number(obj, "k1"),
-        k2=_as_number(obj, "k2"),
-        k3=_as_number(obj, "k3"),
-        c1=_as_number(obj, "c1"),
-        c2=_as_number(obj, "c2"),
-        c3=_as_number(obj, "c3"),
-        rho=_as_number(obj, "rho"),
-        l1=_as_number(obj, "l1"),
-        l2=_as_number(obj, "l2"),
-    )
-    temps = PhaseTemps(
-        B=_as_number(obj, "B"), C=_as_number(obj, "C"), D=_as_number(obj, "D")
-    )
+    props = _from_fields(MaterialProperties, obj)
+    temps = _from_fields(PhaseTemps, obj)
     bc = boundary_from_dict(obj["boundary"]) if "boundary" in obj else None
     return props, temps, bc
 

@@ -3,7 +3,8 @@
 A solved problem is represented by the pair of front coefficients
 (coef1, coef2): the fronts move as x_i(t) = 2*coef_i*sqrt(alpha1*t) and the
 temperature in each phase is an affine image of one error-function profile
-in the similarity variable x/(2*sqrt(alpha_i*t)).
+in the similarity variable x/(2*sqrt(alpha_i*t)).  The boundary kind
+enters only through its record, transcendental.surface_law(bc).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .transcendental import (
     coef2_from_coef1,
     find_root_monotone,
     outer_residual,
+    surface_law,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -116,22 +118,21 @@ def classify_regime(
     The comparison is sharp: a datum exactly at a threshold falls in the
     milder regime.  ``th`` passes in the context's thresholds when the
     caller has them already.
+
+    Raises:
+        MissingBoundaryDatum: The context has no boundary datum.
     """
-    bc = ctx.bc
-    if bc is None:
-        raise MissingBoundaryDatum("classification needs a boundary datum")
-    if isinstance(bc, Dirichlet):
+    bounds = surface_law(ctx.bc).bounds
+    if bounds is None:
         # an imposed surface temperature above B always melts both ways
         return Regime.THREE_PHASE
     if th is None:
         th = thresholds(ctx)
-    if isinstance(bc, Robin):
-        datum, first, second = bc.h0, th.h1, th.h2
-    else:
-        datum, first, second = bc.q0, th.q1, th.q2
-    if datum <= first:
+    name, first, second = bounds
+    datum = getattr(ctx.bc, name)
+    if datum <= getattr(th, first):
         return Regime.SINGLE_PHASE
-    if datum <= second:
+    if datum <= getattr(th, second):
         return Regime.TWO_PHASE
     return Regime.THREE_PHASE
 
@@ -171,8 +172,8 @@ class ThreePhaseSolution:
 
     @cached_property
     def _excess_constants(self) -> tuple[float, ...]:
-        # every per-solution constant of the three excess formulas in
-        # _phase_excess, in the order _excess_row unpacks them
+        # every per-solution constant of the three excess formulas, in the
+        # order _excess unpacks them
         t_ = self.ctx.temps
         return (
             self.surface_temp - t_.D,
@@ -202,25 +203,12 @@ class ThreePhaseSolution:
 def _build_solution(
     ctx: ProblemContext, coef1: float, coef2: float, th: Thresholds
 ) -> ThreePhaseSolution:
-    bc = ctx.bc
-    p = ctx.props
-    a3 = ctx.alpha3
-    erf2 = specfun.erf(coef2 * ctx.sigma3)
-    if isinstance(bc, Robin):
-        khat = p.k3 / (bc.h0 * math.sqrt(math.pi * a3))
-        slope = (bc.A_inf - ctx.temps.B) / (khat + erf2)
-        surface = ctx.temps.B + slope * erf2
-    elif isinstance(bc, Dirichlet):
-        surface = bc.A
-        slope = (bc.A - ctx.temps.B) / erf2
-    elif isinstance(bc, Neumann):
-        slope = bc.q0 * math.sqrt(math.pi * a3) / p.k3
-        surface = ctx.temps.B + slope * erf2
-    else:
-        raise MissingBoundaryDatum("solution needs a boundary datum")
-    flux_coef = p.k3 * slope / math.sqrt(math.pi * a3)
+    slope, surface = surface_law(ctx.bc).surface(
+        ctx, specfun.erf(coef2 * ctx.sigma3)
+    )
+    flux_coef = ctx.props.k3 * slope / math.sqrt(math.pi * ctx.alpha3)
     return ThreePhaseSolution(
-        kind=bc.kind,
+        kind=ctx.bc.kind,
         ctx=ctx,
         coef1=coef1,
         coef2=coef2,
@@ -337,17 +325,9 @@ def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
 def _phase_excess(sol: ThreePhaseSolution, phase: int, x: float, t: float) -> float:
     # closed-form excess above D using the given phase's formula, whether or
     # not (x, t) lies in that phase; verification probes fronts from both sides
-    c = sol.ctx
-    t_ = c.temps
-    if phase == 3:
-        eta = x / (2.0 * math.sqrt(c.alpha3 * t))
-        return (sol.surface_temp - t_.D) - sol._slope3 * specfun.erf(eta)
-    if phase == 2:
-        eta = x / (2.0 * math.sqrt(c.alpha2 * t))
-        top = specfun.erf(sol.coef1 * c.sigma2) - specfun.erf(eta)
-        return (t_.C - t_.D) + (t_.B - t_.C) * top / sol._span2
-    eta = x / (2.0 * math.sqrt(c.alpha1 * t))
-    return (t_.C - t_.D) * specfun.erfc(eta) / specfun.erfc(sol.coef1)
+    d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
+    w = specfun.erfc(x / d) if phase == 1 else specfun.erf(x / d)
+    return _excess(sol, (phase,), (w,))[0]
 
 
 def profile_row(
@@ -391,11 +371,10 @@ def profile_row(
     return phases, ws
 
 
-def _excess_row(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> list[float]:
-    # each phase's closed form for the excess above D, applied to its profile
-    # w; operation order as in _phase_excess, so every value matches it bit
-    # for bit
-    phases, ws = profile_row(sol, t, xs)
+def _excess(
+    sol: ThreePhaseSolution, phases: Sequence[int], ws: Sequence[float]
+) -> list[float]:
+    # each phase's closed-form excess above D, applied to its profile w
     surface, slope3, solid, rise, at_front1, span2, erfc1 = sol._excess_constants
     return [
         surface - slope3 * w if phase == 3
@@ -413,7 +392,7 @@ def temperature_row(
     Equal to evaluate_temperature point for point; raises as profile_row.
     """
     d = sol.ctx.temps.D
-    return [d + e for e in _excess_row(sol, t, xs)]
+    return [d + e for e in _excess(sol, *profile_row(sol, t, xs))]
 
 
 def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
@@ -423,7 +402,7 @@ def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
     floating-point granularity matches the temperature differences that
     drive the physics, which downstream difference-based checks rely on.
     """
-    return _excess_row(sol, t, (x,))[0]
+    return _excess(sol, *profile_row(sol, t, (x,)))[0]
 
 
 def evaluate_temperature(sol: ThreePhaseSolution, x: float, t: float) -> float:

@@ -1,8 +1,8 @@
 """Error-function kernel used by every similarity-solution formula.
 
-Thin wrappers over the C library ``erf``/``erfc`` plus inverse functions.
-The inverses are bracketed Newton iterations, so they stay inside the open
-domain no matter how poor the starting guess is.
+The C library's ``erf``/``erfc`` under the names callers use, plus inverse
+functions.  The inverses are bracketed Newton iterations, so they stay
+inside the open domain no matter how poor the starting guess is.
 """
 
 from __future__ import annotations
@@ -11,35 +11,13 @@ import math
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Beyond this the result is indistinguishable from the limit in float64 by
-# hundreds of orders of magnitude; short-circuit so callers can pass the
-# unbounded arguments produced by bracket doubling.
-_HUGE_ARG = 38.0
-
-
-def erf(x: float) -> float:
-    """Error function.
-
-    Args:
-        x: Any finite float. NaN propagates.
-
-    Returns:
-        erf(x) in [-1, 1].
-    """
-    if x > _HUGE_ARG:
-        return 1.0
-    if x < -_HUGE_ARG:
-        return -1.0
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, accurate for large positive x."""
-    if x > _HUGE_ARG:
-        return 0.0
-    if x < -_HUGE_ARG:
-        return 2.0
-    return math.erfc(x)
+# The C library's erf and erfc return their limits (+-1, 0 and 2) for
+# arguments of any size, infinities included, and pass NaN through, so
+# callers may pass the unbounded arguments produced by bracket doubling.
+# Callers look both names up here at call time: a wrapper installed on
+# this module sees every call.
+erf = math.erf
+erfc = math.erfc
 
 
 def _inv_erfcx(x: float) -> float:

@@ -9,11 +9,13 @@ the front coefficients:
   outer front coefficient from below.  Above z0, ``coef2_from_coef1``
   solves erf(coef2*sigma2) = h(z) for the inner coefficient matched to an
   outer one.  ``_h_kernel`` evaluates h for the z0 search.
+* ``SurfaceLaw``: one record per boundary kind, looked up by the datum's
+  class through ``surface_law``, holding everything the kinds differ in.
 * ``outer_residual``: the single remaining equation for the outer
   coefficient, built once per solve: q(z) = (l1/l2) phi(z)
-  exp(z^2 alpha1/alpha2) against the surface law of the context's
-  boundary kind at the matched inner coefficient.  It picks the law once,
-  hoists every per-problem constant, and evaluates phi once per point.
+  exp(z^2 alpha1/alpha2) against the record's residual at the matched
+  inner coefficient.  It hoists every per-problem constant and evaluates
+  phi once per point.
 
 The point-by-point forms (``h_func``, ``q_func``, ``t_func``/``u_func``,
 ``v_func``, ``p_func``) live in the tests' reference module,
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import specfun
 from .errors import MissingBoundaryDatum, RootFailure
@@ -222,47 +224,117 @@ def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
     return h
 
 
-def _surface_law(ctx: ProblemContext) -> Callable[[float, float], float]:
-    # (q, m) -> the outer equation's residual for the context's boundary
-    # kind, given q(z) and the matched inner coefficient m >= 0
-    bc = ctx.bc
-    p = ctx.props
+class SurfaceLaw(NamedTuple):
+    """How one boundary kind's phase-3 slope depends on e = erf(coef2*sigma3).
+
+    ``outer(ctx)`` builds the outer equation's residual (q(z), m) -> float
+    at the matched inner coefficient m >= 0; ``surface(ctx, e)`` gives
+    (slope, surface temperature); ``check(ctx, surface_temp, flux_coef, t)``
+    the surface condition's relative residual.  ``bounds`` names the datum
+    and the Thresholds fields bounding its regimes, or is None where every
+    admissible datum melts both ways.
+    """
+
+    outer: Callable[[ProblemContext], Callable[[float, float], float]]
+    surface: Callable[[ProblemContext, float], tuple[float, float]]
+    check: Callable[[ProblemContext, float, float, float], float]
+    bounds: Optional[tuple[str, str, str]]
+
+
+def _khat(ctx: ProblemContext) -> float:
+    # k3 / (h0 sqrt(pi alpha3)): the convective law's resistance term
+    return ctx.props.k3 / (ctx.bc.h0 * math.sqrt(math.pi * ctx.alpha3))
+
+
+def _robin_outer(ctx: ProblemContext) -> Callable[[float, float], float]:
+    coef = _surface_coef(ctx.bc.A_inf, ctx)
+    khat = _khat(ctx)
     a1, a2, a3 = ctx.alphas
-    erf, sigma3 = specfun.erf, ctx.sigma3
-    spread = a1 / a3 - a1 / a2
-    if isinstance(bc, Robin):
-        coef = _surface_coef(bc.A_inf, ctx)
-        khat = p.k3 / (bc.h0 * math.sqrt(math.pi * a3))
+    erf, sigma3, spread = specfun.erf, ctx.sigma3, a1 / a3 - a1 / a2
 
-        def robin(q: float, m: float) -> float:
-            return q - (
-                coef * math.exp(-m * m * spread) / (khat + erf(m * sigma3))
-                - m * _exp_capped(m * m * a1 / a2)
-            )
+    def robin(q: float, m: float) -> float:
+        return q - (
+            coef * math.exp(-m * m * spread) / (khat + erf(m * sigma3))
+            - m * _exp_capped(m * m * a1 / a2)
+        )
 
-        return robin
-    if isinstance(bc, Dirichlet):
-        coef = _surface_coef(bc.A, ctx)
+    return robin
 
-        def dirichlet(q: float, m: float) -> float:
-            # times erf(m*sigma3): the same sign and root, still increasing,
-            # and finite at the law's pole m = 0
-            e = erf(m * sigma3)
-            return e * q - (
-                coef * math.exp(-m * m * spread) - m * _exp_capped(m * m * a1 / a2) * e
-            )
 
-        return dirichlet
-    if isinstance(bc, Neumann):
-        flux = bc.q0 / p.l2 * math.sqrt(p.c1 / (p.rho * p.k1))
+def _robin_surface(ctx: ProblemContext, e: float) -> tuple[float, float]:
+    slope = (ctx.bc.A_inf - ctx.temps.B) / (_khat(ctx) + e)
+    return slope, ctx.temps.B + slope * e
 
-        def neumann(q: float, m: float) -> float:
-            return q - _exp_capped(m * m * a1 / a2) * (
-                -m + flux * math.exp(-m * m * a1 / a3)
-            )
 
-        return neumann
-    raise MissingBoundaryDatum("the outer equation needs a boundary datum")
+def _robin_check(ctx: ProblemContext, temp: float, coef: float, t: float) -> float:
+    flux = -coef / math.sqrt(t)  # k3 * dT/dx at x = 0
+    rhs = ctx.bc.h0 / math.sqrt(t) * (temp - ctx.bc.A_inf)
+    return abs(flux - rhs) / max(abs(flux), abs(rhs))
+
+
+def _dirichlet_outer(ctx: ProblemContext) -> Callable[[float, float], float]:
+    coef = _surface_coef(ctx.bc.A, ctx)
+    a1, a2, a3 = ctx.alphas
+    erf, sigma3, spread = specfun.erf, ctx.sigma3, a1 / a3 - a1 / a2
+
+    def dirichlet(q: float, m: float) -> float:
+        # times erf(m*sigma3): the same sign and root, still increasing,
+        # and finite at the law's pole m = 0
+        e = erf(m * sigma3)
+        return e * q - (
+            coef * math.exp(-m * m * spread) - m * _exp_capped(m * m * a1 / a2) * e
+        )
+
+    return dirichlet
+
+
+def _dirichlet_surface(ctx: ProblemContext, e: float) -> tuple[float, float]:
+    return (ctx.bc.A - ctx.temps.B) / e, ctx.bc.A
+
+
+def _dirichlet_check(ctx: ProblemContext, temp: float, coef: float, t: float) -> float:
+    return abs(temp - ctx.bc.A) / (ctx.bc.A - ctx.temps.B)
+
+
+def _neumann_outer(ctx: ProblemContext) -> Callable[[float, float], float]:
+    p = ctx.props
+    flux = ctx.bc.q0 / p.l2 * math.sqrt(p.c1 / (p.rho * p.k1))
+    a1, a2, a3 = ctx.alphas
+
+    def neumann(q: float, m: float) -> float:
+        return q - _exp_capped(m * m * a1 / a2) * (
+            -m + flux * math.exp(-m * m * a1 / a3)
+        )
+
+    return neumann
+
+
+def _neumann_surface(ctx: ProblemContext, e: float) -> tuple[float, float]:
+    slope = ctx.bc.q0 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
+    return slope, ctx.temps.B + slope * e
+
+
+def _neumann_check(ctx: ProblemContext, temp: float, coef: float, t: float) -> float:
+    flux = -coef / math.sqrt(t)
+    return abs(flux * math.sqrt(t) + ctx.bc.q0) / ctx.bc.q0
+
+
+# boundary class -> its surface law, built once at import
+_LAWS = {
+    Robin: SurfaceLaw(_robin_outer, _robin_surface, _robin_check, ("h0", "h1", "h2")),
+    Dirichlet: SurfaceLaw(_dirichlet_outer, _dirichlet_surface, _dirichlet_check, None),
+    Neumann: SurfaceLaw(
+        _neumann_outer, _neumann_surface, _neumann_check, ("q0", "q1", "q2")
+    ),
+}
+
+
+def surface_law(bc: Optional[BoundarySpec]) -> SurfaceLaw:
+    """The surface law of the datum's kind; MissingBoundaryDatum for None."""
+    law = _LAWS.get(type(bc))
+    if law is None:
+        raise MissingBoundaryDatum("the operation needs a boundary datum")
+    return law
 
 
 def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
@@ -278,7 +350,7 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
     """
-    law = _surface_law(ctx)
+    law = surface_law(ctx.bc).outer(ctx)
     erfc, erfc_inv, inv_erfcx = specfun.erfc, specfun.erfc_inv, specfun._inv_erfcx
     a1, a2, _ = ctx.alphas
     sigma2, offset = ctx.sigma2, ctx._h_offset_coef

@@ -17,25 +17,26 @@ Five independent checks, each reported as a dimensionless residual:
 * boundary: the surface condition the solution claims to satisfy.
 * far_field: decay to the initial temperature far beyond the outer front.
 
-Residual magnitudes at the default settings are limited by rounding, not
-truncation; the refinement ladder behavior (order 2 in rel_step) appears
-for rel_step around 1e-3 and above, where truncation dominates.
+Each check's pinned tolerance is in ``TOLERANCES``.  Residual magnitudes
+at the default settings are limited by rounding, not truncation; the
+refinement ladder behavior (order 2 in rel_step) appears for rel_step
+around 1e-3 and above, where truncation dominates.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StencilCrossesFront
-from .model import Dirichlet, Neumann, Robin
 from .solver import (
     ThreePhaseSolution,
     _phase_excess,
     free_boundaries,
     profile_row,
 )
+from .transcendental import surface_law
 
 HEAT_TOL = 1e-6
 INTERFACE_TOL = 1e-10
@@ -230,21 +231,10 @@ def boundary_residual(
     sol: ThreePhaseSolution, times: tuple = DEFAULT_TIMES
 ) -> float:
     """Relative residual of the surface condition the solution claims."""
-    c = sol.ctx
-    bc = c.bc
+    check = surface_law(sol.ctx.bc).check
     worst = 0.0
     for t in times:
-        flux = -sol.flux_coef / math.sqrt(t)  # k3 * dT/dx at x = 0
-        if isinstance(bc, Robin):
-            rhs = bc.h0 / math.sqrt(t) * (sol.surface_temp - bc.A_inf)
-            res = abs(flux - rhs) / max(abs(flux), abs(rhs))
-        elif isinstance(bc, Dirichlet):
-            res = abs(sol.surface_temp - bc.A) / (bc.A - c.temps.B)
-        elif isinstance(bc, Neumann):
-            res = abs(flux * math.sqrt(t) + bc.q0) / bc.q0
-        else:
-            raise ValueError("solution has no boundary datum")
-        worst = max(worst, res)
+        worst = max(worst, check(sol.ctx, sol.surface_temp, sol.flux_coef, t))
     return worst
 
 
@@ -269,44 +259,34 @@ def far_field_residual(
     return worst
 
 
+# the pinned tolerance of each check, in report order
+TOLERANCES = {
+    "heat": HEAT_TOL,
+    "interface": INTERFACE_TOL,
+    "stefan": STEFAN_TOL,
+    "boundary": BOUNDARY_TOL,
+    "far_field": FAR_FIELD_TOL,
+}
+
+
 @dataclass(frozen=True)
 class ResidualReport:
-    """All residuals of one solution plus the pinned tolerances."""
+    """All residuals of one solution; TOLERANCES holds their bounds."""
 
     heat: dict
     interface: dict
     stefan: dict
     boundary: float
     far_field: float
-    tolerances: dict = field(
-        default_factory=lambda: {
-            "heat": HEAT_TOL,
-            "interface": INTERFACE_TOL,
-            "stefan": STEFAN_TOL,
-            "boundary": BOUNDARY_TOL,
-            "far_field": FAR_FIELD_TOL,
-        }
-    )
 
     def failures(self) -> list[str]:
         out = []
-        out += [
-            f"heat:{k}" for k, v in self.heat.items() if v > self.tolerances["heat"]
-        ]
-        out += [
-            f"interface:{k}"
-            for k, v in self.interface.items()
-            if v > self.tolerances["interface"]
-        ]
-        out += [
-            f"stefan:{k}"
-            for k, v in self.stefan.items()
-            if v > self.tolerances["stefan"]
-        ]
-        if self.boundary > self.tolerances["boundary"]:
-            out.append("boundary")
-        if self.far_field > self.tolerances["far_field"]:
-            out.append("far_field")
+        for check, tol in TOLERANCES.items():
+            value = getattr(self, check)
+            if isinstance(value, dict):
+                out += [f"{check}:{k}" for k, v in value.items() if v > tol]
+            elif value > tol:
+                out.append(check)
         return out
 
     @property
@@ -320,7 +300,7 @@ class ResidualReport:
             "stefan": dict(self.stefan),
             "boundary": self.boundary,
             "far_field": self.far_field,
-            "tolerances": dict(self.tolerances),
+            "tolerances": dict(TOLERANCES),
             "failures": self.failures(),
             "pass": self.passes,
         }

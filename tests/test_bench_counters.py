@@ -63,5 +63,6 @@ def test_verify_does_no_extra_kernel_work():
     # the two fixed far-field cases still fail their probe
     assert (res["failed"], res["attempted"]) == (2, 24)
     # row evaluation makes the same erf calls as evaluating each stencil
-    # point on its own did (3015 per op at seed 1)
-    assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 3015.0
+    # point on its own did, and the interface probes take erf(coef1*sigma2)
+    # from the solution's cached constants (3009 per op at seed 1)
+    assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 3009.0

@@ -96,6 +96,16 @@ def test_equiv_to_robin_needs_bulk(capsys, write_config):
     )
 
 
+@pytest.mark.parametrize("a_inf", ["nan", "inf", "-inf"])
+def test_equiv_rejects_a_non_finite_bulk(capsys, write_config, a_inf):
+    path = write_config(benchmark_config("dirichlet"))
+    code, out, err = run_cli(
+        capsys, ["equiv", "--config", path, "--to", "robin", f"--a-inf={a_inf}"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "invalid input: NOT_FINITE: A_inf must be a finite number\n"
+
+
 def test_equiv_same_kind_rejected(capsys, robin_config):
     code, _, err = run_cli(capsys, ["equiv", "--config", robin_config, "--to", "robin"])
     assert code == 1
@@ -223,6 +233,24 @@ def test_verify_passes_then_fails_when_perturbed(capsys, robin_config):
     doc = json.loads(out)
     assert doc["pass"] is False
     assert any(f.startswith("stefan") for f in doc["failures"])
+
+
+@pytest.mark.parametrize("rel_step", ["nan", "inf", "0", "-1e-4"])
+def test_verify_rejects_a_bad_rel_step(capsys, robin_config, rel_step):
+    code, out, err = run_cli(
+        capsys, ["verify", "--config", robin_config, f"--rel-step={rel_step}"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "invalid input: BAD_REL_STEP: need a finite rel-step > 0\n"
+
+
+def test_verify_step_too_coarse_for_a_phase_exits_one(capsys, robin_config):
+    code, out, err = run_cli(
+        capsys, ["verify", "--config", robin_config, "--rel-step", "0.5"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: rel_step 0.5 leaves no room")
+    assert err.count("\n") == 1
 
 
 def test_subcritical_datum_exits_two(capsys, write_config):

@@ -140,6 +140,38 @@ def test_config_bad_types_rejected():
     assert "BAD_BOUNDARY_TYPE" in codes(exc.value.violations)
 
 
+@pytest.mark.parametrize(
+    "kind, missing, first",
+    [
+        ("robin", ("rho", "k1"), "k1"),
+        ("robin", ("D", "l2"), "l2"),
+        ("robin", ("B", "C"), "B"),
+        ("robin", ("boundary.A_inf", "boundary.h0"), "h0"),
+        ("dirichlet", ("boundary.A",), "A"),
+        ("neumann", ("boundary.q0",), "q0"),
+    ],
+)
+def test_config_reports_the_first_missing_field(kind, missing, first):
+    obj = benchmark_config(kind)
+    for key in missing:
+        section, _, name = key.rpartition(".")
+        del (obj[section] if section else obj)[name]
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(obj)
+    assert [(v.code, v.message) for v in exc.value.violations] == [
+        ("MISSING_FIELD", f"config field {first!r} is required")
+    ]
+
+
+@pytest.mark.parametrize("kind", [None, ["robin"], {"robin": 1}, 1.0, "Robin"])
+def test_config_unknown_boundary_type_rejected(kind):
+    obj = benchmark_config("robin")
+    obj["boundary"]["type"] = kind
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(obj)
+    assert codes(exc.value.violations) == {"BAD_BOUNDARY_TYPE"}
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(benchmark_config("neumann")))

@@ -134,6 +134,8 @@ def test_solver_kind_guards(ctx_robin, ctx_neumann, ctx_plain):
         solve_dirichlet(ctx_robin)
     with pytest.raises(MissingBoundaryDatum):
         solve(ctx_plain)
+    with pytest.raises(MissingBoundaryDatum):
+        classify_regime(ctx_plain)
 
 
 def test_front_positions_and_scaling(sol_robin):

@@ -40,6 +40,12 @@ def test_short_circuit_beyond_huge_arguments():
     assert specfun.erf(1e308) == 1.0
     assert specfun.erfc(39.0) == 0.0
     assert specfun.erfc(-1e15) == 2.0
+    assert specfun.erf(math.inf) == 1.0
+    assert specfun.erf(-math.inf) == -1.0
+    assert specfun.erfc(math.inf) == 0.0
+    assert specfun.erfc(-math.inf) == 2.0
+    assert math.isnan(specfun.erf(math.nan))
+    assert math.isnan(specfun.erfc(math.nan))
 
 
 @given(st.floats(min_value=-6.0, max_value=6.0))

@@ -39,6 +39,7 @@ def test_benchmark_solutions_pass_everywhere(sol_robin, sol_dirichlet, sol_neuma
         assert all(v <= STEFAN_TOL for v in rep.stefan.values())
         assert rep.boundary <= BOUNDARY_TOL
         assert rep.far_field <= FAR_FIELD_TOL
+        assert boundary_residual(sol, times=()) == 0.0
 
 
 def test_heat_residual_well_below_tolerance(sol_robin):
@@ -179,6 +180,14 @@ def test_failures_name_each_offender():
     )
     assert rep.failures() == ["heat:phase2", "interface:front2_liquid", "far_field"]
     assert not rep.passes
+    rep = ResidualReport(
+        heat={"phase1": 0.0},
+        interface={"front1_solid": 0.0},
+        stefan={"front1": 2e-10, "front2": 0.0},
+        boundary=2e-10,
+        far_field=0.0,
+    )
+    assert rep.failures() == ["stefan:front1", "boundary"]
 
 
 @pytest.mark.parametrize(

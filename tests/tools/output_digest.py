@@ -1,0 +1,104 @@
+"""One sha256 per benchmark workload over the outputs of seeds 1-10.
+
+    python3 tests/tools/output_digest.py [--root CHECKOUT]
+
+Imports ``stefan3`` from ``CHECKOUT/src`` and the workloads from
+``CHECKOUT/bench/workloads.py`` (default: the checkout holding this file),
+runs every item of every seed once, and prints ``<workload> <sha256>``:
+
+* sweep: each op's solution and mapping reports as ``to_dict``;
+* field: the bytes of the field and fronts CSVs that ``map`` writes, with
+  its exit code;
+* verify: ``full_report(...).to_dict()`` at rel_step 1e-4 and 1e-3.
+
+An exception is recorded as its type and message.  Two checkouts whose
+digests agree produce the same outputs bit for bit on these inputs, so a
+refactor that must not change results can be checked by running this on
+the parent and on the change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = range(1, 11)
+REL_STEPS = (1e-4, 1e-3)
+
+
+def _raised(exc: Exception) -> dict:
+    return {"raised": type(exc).__name__, "message": str(exc)}
+
+
+def _sweep(s3, w, seed: int, workdir: Path) -> list:
+    items = w.generate(seed, workdir)
+    state = w.prepare(s3, items)
+    out = []
+    for i in range(len(items)):
+        try:
+            sol, reports = w.op(s3, state, i)
+        except Exception as exc:  # recorded: failures are outputs too
+            out.append(_raised(exc))
+            continue
+        out.append([sol.to_dict(), [r.to_dict() for r in reports]])
+    return out
+
+
+def _field(s3, w, seed: int, workdir: Path) -> list:
+    items = w.generate(seed, workdir)
+    state = w.prepare(s3, items)
+    out = []
+    for i, item in enumerate(items):
+        try:
+            code = w.op(s3, state, i)
+        except Exception as exc:
+            out.append(_raised(exc))
+            continue
+        files = [f.read_bytes().decode() for f in w.outputs(item)]
+        out.append([code, files])
+    return out
+
+
+def _verify(s3, w, seed: int, workdir: Path) -> list:
+    items = w.generate(seed, workdir)
+    _, sols = w.prepare(s3, items)
+    out = []
+    for sol in sols:
+        for rel_step in REL_STEPS:
+            try:
+                out.append(s3.full_report(sol, rel_step=rel_step).to_dict())
+            except Exception as exc:
+                out.append(_raised(exc))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parents[2],
+                        help="source checkout holding src/ and bench/")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    s3 = importlib.import_module("stefan3")
+    importlib.import_module("stefan3.cli")
+    workloads = importlib.import_module("workloads")
+    runners = {"sweep": _sweep, "field": _field, "verify": _verify}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, run in runners.items():
+            w = workloads.WORKLOADS[name]
+            digest = hashlib.sha256()
+            for seed in SEEDS:
+                outputs = run(s3, w, seed, Path(tmp))
+                digest.update(json.dumps(outputs, sort_keys=True).encode())
+            print(name, digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
