@@ -251,7 +251,7 @@ def corollary_checks(
     every condition kind.  Checks needing a bulk temperature are emitted
     only when one is available (the solution's own for a convective
     problem, or the explicit argument, which takes precedence and must
-    exceed the surface temperature).
+    be finite and exceed the surface temperature).
     """
     ctx = sol.ctx
     t = ctx.temps
@@ -280,6 +280,8 @@ def corollary_checks(
         CorollaryCheck("surface_above_melt", a, ">", t.B),
     ]
     if a_inf is not None:
+        if not math.isfinite(a_inf):
+            raise _invalid("NOT_FINITE", "A_inf must be a finite number")
         if a_inf <= a:
             raise _invalid(
                 "BULK_NOT_ABOVE_SURFACE",

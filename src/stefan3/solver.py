@@ -83,7 +83,8 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
         temperature is known, left None otherwise.
 
     Raises:
-        ValidationError: If an explicit a_inf does not exceed B.
+        ValidationError: If an explicit a_inf is not finite or does not
+            exceed B.
     """
     p, t = ctx.props, ctx.temps
     a1, a2, a3 = ctx.alphas
@@ -96,6 +97,10 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
         a_inf = ctx.bc.A_inf
     if a_inf is None:
         return Thresholds(z0=z0, q1=q1, q2=q2)
+    if not math.isfinite(a_inf):
+        raise ValidationError(
+            [Violation("NOT_FINITE", "A_inf must be a finite number")]
+        )
     if a_inf <= t.B:
         raise ValidationError(
             [Violation("BULK_NOT_ABOVE_B", "bulk temperature must exceed B")]

@@ -53,7 +53,7 @@ _EXP_CAP = 690.0
 
 # Substitute inverse when the complementary tail underflows to zero; far
 # beyond any value reachable from a finite tail (erfc_inv of the smallest
-# subnormal is about 26.6).
+# subnormal is about 27.2, of the smallest normal double about 26.5).
 _INNER_SATURATION = 30.0
 
 # The root search may stop once its bracket is this narrow.

@@ -29,7 +29,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import StencilCrossesFront
+from .errors import StencilCrossesFront, ValidationError
+from .model import Violation
 from .solver import (
     ThreePhaseSolution,
     _phase_excess,
@@ -57,13 +58,21 @@ def _phase_windows(
 
     Windows keep every stencil point at least a few steps away from the
     fronts, including where the fronts sit at the shifted times t(1 +/-
-    rel_step) used by the time difference.
+    rel_step) used by the time difference.  A step whose square is not a
+    normal float (rel_step <= 0, NaN, or so small that h*h underflows) is
+    rejected, since the second difference divides by h*h.
     """
     x2, x1 = free_boundaries(sol, t)
     a1, a2, a3 = sol.ctx.alphas
     out = {}
     for phase, alpha in ((3, a3), (2, a2), (1, a1)):
         h = rel_step * 2.0 * math.sqrt(alpha * t)
+        if not (h > 0.0 and h * h >= sys.float_info.min):
+            raise ValidationError([Violation(
+                "BAD_REL_STEP",
+                f"rel_step {rel_step!r} gives phase {phase} the step {h!r} "
+                f"at t={t!r}, whose square is not a normal float",
+            )])
         if phase == 3:
             lo, hi = 6.0 * h, x2 - 6.0 * h - x2 * rel_step
         elif phase == 2:
@@ -115,6 +124,8 @@ def heat_residual(
     Raises:
         StencilCrossesFront: A stencil evaluation landed in a different
             phase, or rel_step is too coarse for a phase to hold a stencil.
+        ValidationError: BAD_REL_STEP, when a step's square is not a normal
+            float.
     """
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     for t in times:

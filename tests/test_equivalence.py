@@ -1,5 +1,7 @@
 """Mappings between boundary-condition kinds and their consequence checks."""
 
+import math
+
 import pytest
 
 from stefan3 import (
@@ -236,6 +238,13 @@ def test_corollaries_reject_low_bulk(sol_dirichlet):
     with pytest.raises(ValidationError) as exc:
         corollary_checks(sol_dirichlet, a_inf=331.0)  # not above the surface
     assert exc.value.violations[0].code == "BULK_NOT_ABOVE_SURFACE"
+
+
+@pytest.mark.parametrize("a_inf", [math.nan, math.inf, -math.inf])
+def test_corollaries_reject_a_non_finite_bulk(sol_neumann, a_inf):
+    with pytest.raises(ValidationError) as exc:
+        corollary_checks(sol_neumann, a_inf=a_inf)
+    assert [v.code for v in exc.value.violations] == ["NOT_FINITE"]
 
 
 def test_corollary_serialization(sol_neumann):

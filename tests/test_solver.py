@@ -90,6 +90,13 @@ def test_thresholds_reject_bad_bulk(ctx_plain):
         thresholds(ctx_plain, a_inf=TEMPS.B)
 
 
+@pytest.mark.parametrize("a_inf", [math.nan, math.inf, -math.inf])
+def test_thresholds_reject_a_non_finite_bulk(ctx_plain, a_inf):
+    with pytest.raises(ValidationError) as exc:
+        thresholds(ctx_plain, a_inf=a_inf)
+    assert [v.code for v in exc.value.violations] == ["NOT_FINITE"]
+
+
 def test_classification_against_thresholds(ctx_robin, ctx_neumann):
     th = thresholds(ctx_robin)
     cases = [

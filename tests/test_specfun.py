@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from stefan3 import specfun
+from stefan3 import specfun, transcendental
 
 mpmath.mp.dps = 30
 
@@ -105,7 +105,7 @@ def test_erf_inv_near_saturation():
 
 
 def test_erfc_inv_round_trip_wide_range():
-    # spans the direct branch, the 1-y handoff, and the log-space tail
+    # spans the step on erf, the step on erfc, and the log-space tail
     for y in [1.9, 1.5, 1.0, 0.5, 1e-2, 1e-4, 1e-8, 1e-16, 1e-50, 1e-200, 1e-300]:
         x = specfun.erfc_inv(y)
         ref = float(mpmath.erfinv(mpmath.mpf(1) - mpmath.mpf(y))) if y >= 1e-2 else None
@@ -116,9 +116,91 @@ def test_erfc_inv_round_trip_wide_range():
 
 
 def test_erfc_inv_rejects_outside():
-    for bad in (0.0, 2.0, -0.1, 2.5, math.nan):
+    for bad in (0.0, -0.0, 2.0, -0.1, 2.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             specfun.erfc_inv(bad)
+
+
+# Where erfc_inv changes method: the step on erf and the step on erfc meet
+# at 1/2 (and 3/2 by reflection), the reflection at 1, the seed's two
+# polynomials at y(2 - y) = exp(-5), and the log-space tail at the floor.
+_SEAMS = (
+    specfun._SEED_FLOOR,
+    1.0 - math.sqrt(1.0 - math.exp(-5.0)),
+    0.5,
+    1.0,
+    1.5,
+    2.0 - specfun._SEED_FLOOR,
+)
+
+
+def _erfc_inv_reference(y, x):
+    # Newton on erfc(x) = y at 50 digits from the float answer x
+    with mpmath.workdps(50):
+        y, x = mpmath.mpf(y), mpmath.mpf(x)
+        scale = 2 / mpmath.sqrt(mpmath.pi)
+        for _ in range(8):
+            x += (mpmath.erfc(x) - y) / (scale * mpmath.exp(-x * x))
+        return float(x)
+
+
+def _ulps(got, ref):
+    return abs(got - ref) / math.ulp(ref)
+
+
+def test_erfc_inv_within_4_ulps_of_mpmath_over_its_domain():
+    ys = [10.0 ** (-320.0 * i / 1200) for i in range(1, 1200)]  # (1e-320, 1)
+    ys += [2.0 - y for y in ys if y >= 2.0 ** -52]  # (1, 2 - ulp]
+    ys += [0.5 + i / 400 for i in range(400)]
+    for seam in _SEAMS:
+        ys += [math.nextafter(seam, 0.0), seam, math.nextafter(seam, 2.0)]
+    ys += [5e-324, math.nextafter(2.0, 0.0)]  # smallest subnormal, 2 - ulp
+    worst = (0.0, 0.0)
+    for y in ys:
+        x = specfun.erfc_inv(y)
+        if y != 1.0:
+            worst = max(worst, (_ulps(x, _erfc_inv_reference(y, x)), y))
+    assert worst[0] <= 4.0, worst
+    assert specfun.erfc_inv(1.0) == 0.0
+
+
+def test_erfc_inv_of_the_extreme_inputs():
+    # the smallest subnormal and the smallest normal double, both below
+    # the substitute inverse transcendental._INNER_SATURATION
+    assert specfun.erfc_inv(5e-324) == pytest.approx(27.2133, abs=1e-4)
+    assert specfun.erfc_inv(2.2250738585072014e-308) == pytest.approx(26.5433, abs=1e-4)
+    assert specfun.erfc_inv(5e-324) < transcendental._INNER_SATURATION
+    top = math.nextafter(2.0, 0.0)
+    assert specfun.erfc_inv(top) == -specfun.erfc_inv(2.0 - top)
+    assert -6.0 < specfun.erfc_inv(top) < -5.0
+
+
+def test_erf_inv_within_4_ulps_of_mpmath_over_its_domain():
+    ps = [10.0 ** (-300.0 * i / 600) for i in range(1, 601)]  # [1e-300, 0.32]
+    ps += [1.0 - 10.0 ** (-15.6 * i / 400) for i in range(1, 401)]  # to 1 - 2.5e-16
+    ps += [0.5 + i / 400 for i in range(200)]
+    ps += [math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+    worst = (0.0, 0.0)
+    with mpmath.workdps(50):
+        for p in ps:  # the negative half is checked by oddness
+            err = _ulps(specfun.erf_inv(p), float(mpmath.erfinv(mpmath.mpf(p))))
+            worst = max(worst, (err, p))
+    assert worst[0] <= 4.0, worst
+
+
+def test_erfc_inv_strictly_decreasing_across_every_seam():
+    for seam in _SEAMS:
+        ys = [seam * (1.0 + k * 1e-13) for k in range(-300, 301)]
+        xs = [specfun.erfc_inv(y) for y in ys]
+        assert all(a > b for a, b in zip(xs, xs[1:])), seam
+
+
+def test_erf_inv_is_odd_to_the_last_bit():
+    for i in range(1, 2000):
+        p = i / 2000
+        assert specfun.erf_inv(-p) == -specfun.erf_inv(p)
+    for p in (1e-300, 5e-324, math.nextafter(1.0, 0.0)):
+        assert specfun.erf_inv(-p) == -specfun.erf_inv(p)
 
 
 def test_inv_erfcx_continuity_at_switchover():

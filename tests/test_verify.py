@@ -9,6 +9,7 @@ import pytest
 from stefan3 import (
     ResidualReport,
     StencilCrossesFront,
+    ValidationError,
     boundary_residual,
     far_field_residual,
     full_report,
@@ -142,6 +143,14 @@ def test_coarse_step_has_no_room(sol_robin):
         heat_residual(sol_robin, rel_step=0.2)
     with pytest.raises(StencilCrossesFront):
         _phase_windows(sol_robin, 1.0, 0.2)
+
+
+@pytest.mark.parametrize("rel_step", [1e-200, 1e-160, 0.0, -1e-4, math.nan])
+def test_step_whose_square_is_not_normal_is_rejected(sol_robin, rel_step):
+    # the second difference divides by h*h, which underflows below ~1e-154
+    with pytest.raises(ValidationError) as exc:
+        full_report(sol_robin, rel_step=rel_step)
+    assert [v.code for v in exc.value.violations] == ["BAD_REL_STEP"]
 
 
 def test_windows_clear_the_fronts(sol_neumann):

@@ -1,6 +1,6 @@
 """One sha256 per benchmark workload over the outputs of seeds 1-10.
 
-    python3 tests/tools/output_digest.py [--root CHECKOUT]
+    python3 tests/tools/output_digest.py [--root CHECKOUT] [--deltas]
 
 Imports ``stefan3`` from ``CHECKOUT/src`` and the workloads from
 ``CHECKOUT/bench/workloads.py`` (default: the checkout holding this file),
@@ -15,6 +15,12 @@ An exception is recorded as its type and message.  Two checkouts whose
 digests agree produce the same outputs bit for bit on these inputs, so a
 refactor that must not change results can be checked by running this on
 the parent and on the change.
+
+``--deltas`` prints, in place of the digests, how far each ``sweep``
+mapping's target coefficients land from its source's: the largest relative
+delta in coef1 and in coef2, and how many of all those deltas are exactly
+zero.  A change that moves the last bits of the solves changes the digests;
+these figures say by how much the mappings' agreement moved.
 """
 
 from __future__ import annotations
@@ -77,11 +83,32 @@ def _verify(s3, w, seed: int, workdir: Path) -> list:
     return out
 
 
+def _print_deltas(outputs: list) -> None:
+    worst = {"coef1": 0.0, "coef2": 0.0}
+    zeros = total = 0
+    for out in outputs:
+        if isinstance(out, dict):  # a raised op maps nothing
+            continue
+        for rep in out[1]:
+            for name in worst:
+                src = rep["source"][name]
+                delta = abs(rep["target"][name] - src)
+                worst[name] = max(worst[name], delta / abs(src))
+                zeros += delta == 0.0
+                total += 1
+    for name, value in worst.items():
+        print(f"sweep {name} max relative delta {value:.3g}")
+    print(f"sweep exact-zero deltas {zeros} of {total}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[2],
                         help="source checkout holding src/ and bench/")
+    parser.add_argument("--deltas", action="store_true",
+                        help="print sweep's source-to-target mapping deltas "
+                        "instead of the digests")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -90,6 +117,11 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
     runners = {"sweep": _sweep, "field": _field, "verify": _verify}
     with tempfile.TemporaryDirectory() as tmp:
+        if args.deltas:
+            w = workloads.WORKLOADS["sweep"]
+            _print_deltas([op for seed in SEEDS
+                           for op in _sweep(s3, w, seed, Path(tmp))])
+            return 0
         for name, run in runners.items():
             w = workloads.WORKLOADS[name]
             digest = hashlib.sha256()
