@@ -7,10 +7,11 @@ A = T(0), q0 = the flux coefficient, and h0 = flux coefficient /
 one table keyed by the target kind, each entry naming the datum, reading
 it off the solved source and bounding it by its admissibility hypothesis;
 the six named mappings check the source's kind and call it.  The source
-is solved once per context (``solve`` records its roots on the context).
-The target is then solved by its own search, which tries a bracket of
-relative width 2e-9 around the source's coef1 first and falls back to the
-cold bracket, so the coefficients' agreement is found, not assumed.
+is solved once per context (``solve`` records its coefficients on the
+context).  The target is then solved by its own search, which tries a
+bracket of relative width 2e-9 around the source's coef1 first and falls
+back to the cold bracket, so the coefficients' agreement is found, not
+assumed.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def mapping(
     src = solve(ctx)
     value = read(src, a_inf)
     check = _checked(HypothesisCheck(hypothesis, value, bound(src, a_inf)))
-    tgt = _solve_outer(ctx.with_bc(cls(value, *bulk)), 1e-12, seed=src.coef1)
+    tgt = _solve_outer(ctx.with_bc(cls(value, *bulk)), seed=src.coef1)
     return EquivalenceReport(src.kind, target_kind, name, value, (check,), src, tgt)
 
 

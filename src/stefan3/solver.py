@@ -1,10 +1,11 @@
 """Front coefficients, regime thresholds, and temperature reconstruction.
 
-A solved problem is represented by the pair of front coefficients
+A solved problem is its context and the pair of front coefficients
 (coef1, coef2): the fronts move as x_i(t) = 2*coef_i*sqrt(alpha1*t) and the
 temperature in each phase is an affine image of one error-function profile
-in the similarity variable x/(2*sqrt(alpha_i*t)).  The boundary kind
-enters only through its record, transcendental.surface_law(bc).
+in the similarity variable x/(2*sqrt(alpha_i*t)).  Everything else is
+derived from those on first use.  The boundary kind enters only through
+its record, transcendental.surface_law(bc).
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .transcendental import (
     outer_residual,
     surface_law,
 )
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # Points within this relative distance of a front belong to the phase on
 # the lower-x side, so front positions themselves evaluate cleanly.
@@ -115,14 +114,11 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
     return Thresholds(z0=z0, q1=q1, q2=q2, h1=h1, h2=h2)
 
 
-def classify_regime(
-    ctx: ProblemContext, th: Optional[Thresholds] = None
-) -> Regime:
+def classify_regime(ctx: ProblemContext) -> Regime:
     """Regime reached under the context's boundary datum.
 
     The comparison is sharp: a datum exactly at a threshold falls in the
-    milder regime.  ``th`` passes in the context's thresholds when the
-    caller has them already.
+    milder regime.  An imposed temperature needs no thresholds.
 
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
@@ -131,8 +127,7 @@ def classify_regime(
     if bounds is None:
         # an imposed surface temperature above B always melts both ways
         return Regime.THREE_PHASE
-    if th is None:
-        th = thresholds(ctx)
+    th = thresholds(ctx)
     name, first, second = bounds
     datum = getattr(ctx.bc, name)
     if datum <= getattr(th, first):
@@ -144,22 +139,46 @@ def classify_regime(
 
 @dataclass(frozen=True)
 class ThreePhaseSolution:
-    """Immutable result of one solve.
+    """Immutable result of one solve: its context and front coefficients.
 
-    surface_temp is the (constant in time) temperature at x = 0 and
-    flux_coef the coefficient of the surface heat flux, which decays as
-    -flux_coef/sqrt(t) in the outward normal convention, so the full
-    boundary behavior is recoverable for every condition kind.
+    The rest is derived on first use.  surface_temp is the (constant in
+    time) temperature at x = 0 and flux_coef the coefficient of the surface
+    heat flux, which decays as -flux_coef/sqrt(t) in the outward normal
+    convention, so the full boundary behavior is recoverable for every
+    condition kind; thresh is thresholds(ctx).
     """
 
-    kind: str
     ctx: ProblemContext
     coef1: float
     coef2: float
-    surface_temp: float
-    flux_coef: float
-    regime: Regime
-    thresh: Thresholds
+
+    # a solution exists only in the three-phase regime
+    regime = Regime.THREE_PHASE
+
+    @property
+    def kind(self) -> str:
+        return self.ctx.bc.kind
+
+    @cached_property
+    def thresh(self) -> Thresholds:
+        return thresholds(self.ctx)
+
+    @cached_property
+    def _surface(self) -> tuple[float, float]:
+        # (surface temperature, flux coefficient) from the kind's surface law
+        c = self.ctx
+        slope, surface = surface_law(c.bc).surface(
+            c, specfun.erf(self.coef2 * c.sigma3)
+        )
+        return surface, c.props.k3 * slope / math.sqrt(math.pi * c.alpha3)
+
+    @property
+    def surface_temp(self) -> float:
+        return self._surface[0]
+
+    @property
+    def flux_coef(self) -> float:
+        return self._surface[1]
 
     @cached_property
     def _slope3(self) -> float:
@@ -191,7 +210,7 @@ class ThreePhaseSolution:
         )
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "regime": self.regime.value,
             "coef1": self.coef1,
@@ -202,38 +221,6 @@ class ThreePhaseSolution:
             "surface_flux_coefficient": self.flux_coef,
             "input": config_to_dict(self.ctx.props, self.ctx.temps, self.ctx.bc),
         }
-        return out
-
-
-def _build_solution(
-    ctx: ProblemContext, coef1: float, coef2: float, th: Thresholds
-) -> ThreePhaseSolution:
-    slope, surface = surface_law(ctx.bc).surface(
-        ctx, specfun.erf(coef2 * ctx.sigma3)
-    )
-    flux_coef = ctx.props.k3 * slope / math.sqrt(math.pi * ctx.alpha3)
-    return ThreePhaseSolution(
-        kind=ctx.bc.kind,
-        ctx=ctx,
-        coef1=coef1,
-        coef2=coef2,
-        surface_temp=surface,
-        flux_coef=flux_coef,
-        regime=Regime.THREE_PHASE,
-        thresh=th,
-    )
-
-
-def _three_phase_thresholds(ctx: ProblemContext) -> Thresholds:
-    th = thresholds(ctx)
-    regime = classify_regime(ctx, th)
-    if regime is not Regime.THREE_PHASE:
-        raise RegimeError(
-            regime,
-            f"boundary datum only sustains the {regime.value} regime; "
-            "no second front forms",
-        )
-    return th
 
 
 def _outer_bracket(ctx: ProblemContext) -> tuple[float, float]:
@@ -247,13 +234,19 @@ _SEED_SPAN = 1e-9
 
 
 def _solve_outer(
-    ctx: ProblemContext, tol: float, seed: Optional[float] = None
+    ctx: ProblemContext, seed: Optional[float] = None
 ) -> ThreePhaseSolution:
-    # classify, find coef1, and record the root on the context for solve().
+    # classify, find coef1, and record the pair on the context for solve().
     # A seed (an equivalent problem's coef1) is tried first as a narrow
     # bracket inside this problem's own residual: the search must still find
     # its own sign change there, else the cold bracket takes over.
-    th = _three_phase_thresholds(ctx)
+    regime = classify_regime(ctx)
+    if regime is not Regime.THREE_PHASE:
+        raise RegimeError(
+            regime,
+            f"boundary datum only sustains the {regime.value} regime; "
+            "no second front forms",
+        )
     residual = outer_residual(ctx)
     lo, hi = _outer_bracket(ctx)
     coef1 = None
@@ -262,16 +255,17 @@ def _solve_outer(
         near_hi = seed * (1.0 + _SEED_SPAN)
         if near_lo < near_hi:
             try:
-                coef1 = find_root_monotone(residual, near_lo, near_hi, tol)
+                coef1 = find_root_monotone(residual, near_lo, near_hi)
             except RootFailure:
                 pass
     if coef1 is None:
-        coef1 = find_root_monotone(residual, lo, hi, tol)
-    coefs = ctx.roots[tol] = (coef1, coef2_from_coef1(coef1, ctx))
-    return _build_solution(ctx, *coefs, th)
+        coef1 = find_root_monotone(residual, lo, hi)
+    coefs = (coef1, coef2_from_coef1(coef1, ctx))
+    object.__setattr__(ctx, "coefs", coefs)
+    return ThreePhaseSolution(ctx, *coefs)
 
 
-def solve_robin(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
+def solve_robin(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under convective surface exchange.
 
     Raises:
@@ -282,40 +276,39 @@ def solve_robin(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
     """
     if not isinstance(ctx.bc, Robin):
         raise MissingBoundaryDatum("solve_robin needs h0 and A_inf")
-    return _solve_outer(ctx, tol)
+    return _solve_outer(ctx)
 
 
-def solve_dirichlet(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
+def solve_dirichlet(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under an imposed surface temperature A > B."""
     if not isinstance(ctx.bc, Dirichlet):
         raise MissingBoundaryDatum("solve_dirichlet needs a surface temperature")
-    return _solve_outer(ctx, tol)
+    return _solve_outer(ctx)
 
 
-def solve_neumann(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
+def solve_neumann(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under an imposed surface flux q0/sqrt(t)."""
     if not isinstance(ctx.bc, Neumann):
         raise MissingBoundaryDatum("solve_neumann needs a flux coefficient")
-    return _solve_outer(ctx, tol)
+    return _solve_outer(ctx)
 
 
-def solve(ctx: ProblemContext, tol: float = 1e-12) -> ThreePhaseSolution:
+def solve(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under the context's boundary datum.
 
     Dispatches to the solver matching the datum's kind.  A context is
-    solved once per tolerance: later calls rebuild the solution from the
-    front coefficients recorded on the context, bit for bit.
+    solved once: later calls rebuild the solution from the front
+    coefficients recorded on the context, bit for bit, with no search.
     """
-    coefs = ctx.roots.get(tol)
-    if coefs is not None:
-        return _build_solution(ctx, *coefs, thresholds(ctx))
+    if ctx.coefs is not None:
+        return ThreePhaseSolution(ctx, *ctx.coefs)
     bc = ctx.bc
     if isinstance(bc, Robin):
-        return solve_robin(ctx, tol)
+        return solve_robin(ctx)
     if isinstance(bc, Dirichlet):
-        return solve_dirichlet(ctx, tol)
+        return solve_dirichlet(ctx)
     if isinstance(bc, Neumann):
-        return solve_neumann(ctx, tol)
+        return solve_neumann(ctx)
     raise MissingBoundaryDatum("solve needs a boundary datum")
 
 
@@ -444,11 +437,10 @@ def perturbed(
 ) -> ThreePhaseSolution:
     """Copy of a solution with each front coefficient scaled by (1 + eps).
 
-    The reconstruction caches are recomputed from the perturbed
-    coefficients, so the copy is exactly what the solver would have built
-    had it converged to the wrong roots.  Intended for verification
-    negative controls.
+    Every derived value follows the perturbed coefficients, so the copy
+    is exactly what the solver would have built had it converged to the
+    wrong roots.  Intended for verification negative controls.
     """
-    return _build_solution(
-        sol.ctx, sol.coef1 * (1.0 + eps1), sol.coef2 * (1.0 + eps2), sol.thresh
+    return ThreePhaseSolution(
+        sol.ctx, sol.coef1 * (1.0 + eps1), sol.coef2 * (1.0 + eps2)
     )

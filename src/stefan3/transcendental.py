@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 from . import specfun
 from .errors import MissingBoundaryDatum, RootFailure
@@ -140,10 +140,9 @@ class ProblemContext:
         """Unique positive zero of h, found by find_root_monotone."""
         return find_root_monotone(_h_kernel(self), 0.0, hi_start=1.0, tol=1e-13)
 
-    @cached_property
-    def roots(self) -> dict[float, tuple[float, float]]:
-        """Solved (coef1, coef2) by solve tolerance, filled in by the solver."""
-        return {}
+    # The solved (coef1, coef2), recorded on the instance by the solver;
+    # the pair and not the solution, which refers back to its context.
+    coefs: ClassVar[Optional[tuple[float, float]]] = None
 
     def with_bc(self, bc: Optional[BoundarySpec]) -> "ProblemContext":
         """Same material and temperatures under another boundary datum.

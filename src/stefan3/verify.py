@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .errors import StencilCrossesFront, ValidationError
 from .model import Violation
 from .solver import (
+    _FRONT_BAND,
     ThreePhaseSolution,
     _phase_excess,
     free_boundaries,
@@ -60,29 +61,34 @@ def _phase_windows(
     fronts, including where the fronts sit at the shifted times t(1 +/-
     rel_step) used by the time difference.  A step whose square is not a
     normal float (rel_step <= 0, NaN, or so small that h*h underflows) is
-    rejected, since the second difference divides by h*h.
+    rejected, since the second difference divides by h*h; so is a step too
+    fine to move a window's first stencil point out of the _FRONT_BAND
+    above the front below it, where that point belongs to the next phase.
     """
     x2, x1 = free_boundaries(sol, t)
     a1, a2, a3 = sol.ctx.alphas
     out = {}
-    for phase, alpha in ((3, a3), (2, a2), (1, a1)):
+    # each phase with the fronts below and above it; x = 0 bounds phase 3
+    for phase, alpha, below, above in (
+        (3, a3, 0.0, x2), (2, a2, x2, x1), (1, a1, x1, None)
+    ):
         h = rel_step * 2.0 * math.sqrt(alpha * t)
-        if not (h > 0.0 and h * h >= sys.float_info.min):
+        lo = below + 6.0 * h + below * rel_step
+        normal = h > 0.0 and h * h >= sys.float_info.min
+        if not normal or lo - h <= below * (1.0 + _FRONT_BAND):
+            why = (f"too fine to keep its stencil off the front at x={below!r}"
+                   if normal else "whose square is not a normal float")
             raise ValidationError([Violation(
                 "BAD_REL_STEP",
                 f"rel_step {rel_step!r} gives phase {phase} the step {h!r} "
-                f"at t={t!r}, whose square is not a normal float",
+                f"at t={t!r}, {why}",
             )])
-        if phase == 3:
-            lo, hi = 6.0 * h, x2 - 6.0 * h - x2 * rel_step
-        elif phase == 2:
-            lo = x2 + 6.0 * h + x2 * rel_step
-            hi = x1 - 6.0 * h - x1 * rel_step
-        else:
-            lo = x1 + 6.0 * h + x1 * rel_step
+        if above is None:
             # three diffusion lengths past the front covers all the decay
             # that is numerically distinguishable from the initial state
             hi = x1 + 6.0 * math.sqrt(a1 * t)
+        else:
+            hi = above - 6.0 * h - above * rel_step
         if not lo < hi:
             raise StencilCrossesFront(
                 f"rel_step {rel_step!r} leaves no room inside phase {phase} "
@@ -125,7 +131,7 @@ def heat_residual(
         StencilCrossesFront: A stencil evaluation landed in a different
             phase, or rel_step is too coarse for a phase to hold a stencil.
         ValidationError: BAD_REL_STEP, when a step's square is not a normal
-            float.
+            float or a step is too fine to keep a stencil off a front.
     """
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     for t in times:

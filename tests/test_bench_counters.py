@@ -30,6 +30,27 @@ UPPER_BOUNDS = {
 }
 
 
+# Floors the work guarantees, so a counter that stops counting fails its gate
+# while a real cut in work still passes.  Seed-1 readings: 5.98, 9.02, 3.92,
+# 2.94, 1.0 and 0.68.  equivalence.solves_per_mapping has none: it reads 0,
+# since the tracer wraps only the solve_* functions, a mapping's source solve
+# is a memo hit and its target is solved by _solve_outer directly.
+LOWER_BOUNDS = {
+    # a search evaluates both ends of its bracket at least
+    "transcendental.residual_evals_per_solve": 2.0,
+    "transcendental.z0_evals_per_search": 2.0,
+    # the source and the two mapping targets of every op that succeeds
+    "transcendental.root_searches_per_op": 3.0,
+    # every material computes its z0
+    "transcendental.z0_per_material": 1.0,
+    # every distinct problem is solved
+    "solver.solves_per_problem": 1.0,
+    # each op solves one problem of each kind, and a Robin and a Neumann solve
+    # classify against the thresholds: 2/3 of the solves
+    "solver.thresholds.calls_per_solve": 0.6,
+}
+
+
 def traced_smoke(workload: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
@@ -49,6 +70,8 @@ def test_sweep_counters_stay_within_bounds():
     counts = {name: res["metrics"][name]["value"] for name in UPPER_BOUNDS}
     over = {k: v for k, v in counts.items() if v > UPPER_BOUNDS[k]}
     assert not over, counts
+    under = {k: counts[k] for k, floor in LOWER_BOUNDS.items() if counts[k] < floor}
+    assert not under, counts
 
 
 def test_field_writes_every_row():

@@ -244,14 +244,25 @@ def test_verify_rejects_a_bad_rel_step(capsys, robin_config, rel_step):
     assert err == "invalid input: BAD_REL_STEP: need a finite rel-step > 0\n"
 
 
-@pytest.mark.parametrize("rel_step", ["1e-200", "1e-160"])
-def test_verify_step_whose_square_underflows_exits_one(capsys, robin_config, rel_step):
+# a square that underflows (1e-160, 1e-200), or a step below float
+# resolution at the phase-2 front, which rounds its stencil onto it
+@pytest.mark.parametrize("rel_step", ["1e-200", "1e-160", "1e-150", "1e-20", "1e-16"])
+def test_verify_step_too_fine_to_use_exits_one(capsys, robin_config, rel_step):
     code, out, err = run_cli(
         capsys, ["verify", "--config", robin_config, "--rel-step", rel_step]
     )
     assert (code, out) == (1, "")
     assert err.startswith(f"invalid input: BAD_REL_STEP: rel_step {rel_step}")
     assert err.count("\n") == 1
+
+
+def test_verify_finest_resolvable_step_still_reports(capsys, robin_config):
+    code, out, err = run_cli(
+        capsys, ["verify", "--config", robin_config, "--rel-step", "1e-15"]
+    )
+    # rounding dominates the heat residual at this step, so the report fails
+    assert code == 6 and err == ""
+    assert json.loads(out)["failures"]
 
 
 def test_verify_step_too_coarse_for_a_phase_exits_one(capsys, robin_config):

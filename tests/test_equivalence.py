@@ -347,15 +347,15 @@ def test_a_seed_without_the_root_falls_back_to_the_cold_bracket(kind, searches):
 
     bc = {"robin": Robin(h0=100.0, A_inf=334.0), "dirichlet": Dirichlet(A=331.0),
           "neumann": Neumann(q0=300.0)}[kind]
-    cold = _solve_outer(ProblemContext(PROPS, TEMPS, bc), 1e-12)
+    cold = _solve_outer(ProblemContext(PROPS, TEMPS, bc))
     z0 = cold.ctx.z0
     for seed in (cold.coef1 * (1.0 + 1e-6), cold.coef1 * (1.0 - 1e-6), 0.5 * z0):
         ctx = ProblemContext(PROPS, TEMPS, bc)
         del searches[:]
-        sol = _solve_outer(ctx, 1e-12, seed=seed)
+        sol = _solve_outer(ctx, seed=seed)
         assert sol.coef1 == pytest.approx(cold.coef1, rel=1e-12, abs=0.0)
         assert sol.coef2 == pytest.approx(cold.coef2, rel=1e-12, abs=0.0)
-        assert ctx.roots[1e-12] == (sol.coef1, sol.coef2)
+        assert ctx.coefs == (sol.coef1, sol.coef2)
         outer = [n for k, n in searches if k == "outer"]
         if seed < z0:
             # a bracket below z0 is never searched

@@ -282,11 +282,48 @@ def test_memoized_solve_is_bit_identical_to_a_fresh_one(bc, searches):
     assert again == first
     fresh = solve(ProblemContext(PROPS, TEMPS, bc))
     assert (fresh.coef1, fresh.coef2) == (first.coef1, first.coef2)
-    # the record is per context and tolerance: neither carries over
-    assert ctx.with_bc(bc).roots == {}
-    n = len(searches)
-    solve(ctx, tol=1e-10)
-    assert len(searches) == n + 1
+    # the record is the solved pair, and it is per context
+    assert ctx.coefs == (first.coef1, first.coef2)
+    assert ctx.with_bc(bc).coefs is None
+
+
+@pytest.mark.parametrize(
+    "bc", [Robin(h0=100.0, A_inf=334.0), Dirichlet(A=331.0), Neumann(q0=300.0)]
+)
+def test_solve_calls_thresholds_only_to_classify(bc, searches, monkeypatch):
+    from stefan3 import solver
+
+    calls = []
+    original = solver.thresholds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "thresholds", counting)
+    ctx = ProblemContext(PROPS, TEMPS, bc)
+    first = solve(ctx)
+    # an imposed temperature has no regime bounds to compare against
+    assert len(calls) == (0 if isinstance(bc, Dirichlet) else 1)
+    n_calls, n_searches = len(calls), len(searches)
+    again = solve(ctx)
+    assert (len(calls), len(searches)) == (n_calls, n_searches)
+    assert again == first
+    # thresh is derived on first use, from the context
+    assert again.thresh == original(ctx)
+    assert len(calls) == n_calls + 1
+
+
+@pytest.mark.parametrize("fixture", ["sol_robin", "sol_dirichlet", "sol_neumann"])
+def test_a_solution_is_its_context_and_two_coefficients(fixture, request):
+    import dataclasses
+
+    sol = request.getfixturevalue(fixture)
+    assert [f.name for f in dataclasses.fields(sol)] == ["ctx", "coef1", "coef2"]
+    assert sol.kind == sol.ctx.bc.kind and sol.regime is Regime.THREE_PHASE
+    same = perturbed(sol, 0.0, 0.0)
+    assert same == sol and hash(same) == hash(sol)
+    assert same.to_dict() == sol.to_dict()
 
 
 def _row_solutions(sol_robin, sol_dirichlet, sol_neumann):

@@ -153,6 +153,18 @@ def test_step_whose_square_is_not_normal_is_rejected(sol_robin, rel_step):
     assert [v.code for v in exc.value.violations] == ["BAD_REL_STEP"]
 
 
+@pytest.mark.parametrize("rel_step", [1e-150, 1e-20, 1e-16])
+def test_step_too_fine_to_clear_a_front_is_rejected(
+    sol_robin, sol_dirichlet, sol_neumann, rel_step
+):
+    # a window's first stencil point would round into the band above a front
+    for sol in (sol_robin, sol_dirichlet, sol_neumann):
+        with pytest.raises(ValidationError) as exc:
+            full_report(sol, rel_step=rel_step)
+        (v,) = exc.value.violations
+        assert v.code == "BAD_REL_STEP" and "too fine" in v.message
+
+
 def test_windows_clear_the_fronts(sol_neumann):
     from stefan3 import free_boundaries
 
