@@ -5,13 +5,16 @@ A solved problem is its context and the pair of front coefficients
 temperature in each phase is an affine image of one error-function profile
 in the similarity variable x/(2*sqrt(alpha_i*t)).  Everything else is
 derived from those on first use.  The boundary kind enters only through
-its record, transcendental.surface_law(bc).
+its record, transcendental.surface_law(bc).  A row of x values at one time,
+in any order, is cut once at the fronts into its phase slices, and each
+slice is evaluated by its phase's formula with no per-point branch.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -25,6 +28,7 @@ from .model import (
     Violation,
     config_to_dict,
 )
+from .specfun import _inv_erfcx
 from .transcendental import (
     ProblemContext,
     coef2_from_coef1,
@@ -197,7 +201,7 @@ class ThreePhaseSolution:
     @cached_property
     def _excess_constants(self) -> tuple[float, ...]:
         # every per-solution constant of the three excess formulas, in the
-        # order _excess unpacks them
+        # order _phase_excess unpacks them
         t_ = self.ctx.temps
         return (
             self.surface_temp - t_.D,
@@ -320,12 +324,61 @@ def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
     return sol.coef2 * scale, sol.coef1 * scale
 
 
-def _phase_excess(sol: ThreePhaseSolution, phase: int, x: float, t: float) -> float:
-    # closed-form excess above D using the given phase's formula, whether or
-    # not (x, t) lies in that phase; verification probes fronts from both sides
+def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
+    # the row in ascending order, the permutation that sorted it (None if xs
+    # ascends) and each phase's slice bounds {phase: (start, stop)}, x order
+    asc = sorted(xs)
+    # a finite sum rules out NaN and infinities, and then asc is in order
+    finite = math.isfinite(sum(asc)) or all(map(math.isfinite, asc))
+    if not (finite and (not asc or asc[0] >= 0.0)):
+        raise ValueError("x must be finite and >= 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t must be finite and > 0")
+    order = None if asc == list(xs) else sorted(range(len(xs)), key=xs.__getitem__)
+    x2, x1 = free_boundaries(sol, t)
+    i3 = bisect_right(asc, x2 * (1.0 + _FRONT_BAND))
+    i2 = bisect_right(asc, x1 * (1.0 + _FRONT_BAND), i3)
+    return asc, order, {3: (0, i3), 2: (i3, i2), 1: (i2, len(asc))}
+
+
+def _profile(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
+    # the given phase's profile at every x of xs, whether or not x lies in
+    # that phase; verification probes fronts from both sides.  erf and erfc
+    # are looked up per call, so wrappers installed on specfun see them all.
     d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
-    w = specfun.erfc(x / d) if phase == 1 else specfun.erf(x / d)
-    return _excess(sol, (phase,), (w,))[0]
+    f = specfun.erfc if phase == 1 else specfun.erf
+    return [f(x / d) for x in xs]
+
+
+def _phase_excess(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
+    # the given phase's closed-form excess above D at every x of xs
+    d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
+    f = specfun.erfc if phase == 1 else specfun.erf
+    surface, slope3, solid, rise, at_front1, span2, erfc1 = sol._excess_constants
+    if phase == 3:
+        return [surface - slope3 * f(x / d) for x in xs]
+    if phase == 2:
+        return [solid + rise * (at_front1 - f(x / d)) / span2 for x in xs]
+    if erfc1 == 0.0:  # erfc(coef1) underflowed: erfc(eta)/erfc(c) as
+        # exp((c - eta)(c + eta)) * _inv_erfcx(c) / _inv_erfcx(eta)
+        c, inv_c = sol.coef1, _inv_erfcx(sol.coef1)
+        return [solid * (math.exp((c - e) * (c + e)) * inv_c / _inv_erfcx(e))
+                for e in (x / d for x in xs)]
+    return [solid * f(x / d) / erfc1 for x in xs]
+
+
+def _row(sol: ThreePhaseSolution, t: float, xs: Sequence[float], kernel) -> tuple:
+    # (phases, values) at every x of xs: kernel(sol, phase, t, slice) on
+    # each phase's slice of the ascending row, put back in xs's order
+    asc, order, cuts = _cut(sol, t, xs)
+    phases, values = [], []
+    for phase, (lo, hi) in cuts.items():
+        phases += [phase] * (hi - lo)
+        values += kernel(sol, phase, t, asc[lo:hi])
+    if order is not None:  # back to xs's order
+        phases, values = (
+            [v for _, v in sorted(zip(order, vs))] for vs in (phases, values))
+    return phases, values
 
 
 def profile_row(
@@ -333,53 +386,15 @@ def profile_row(
 ) -> tuple[list[int], list[float]]:
     """Phase index and similarity profile at every x of xs, at one time t.
 
-    The row form of phase_profile, equal to it point for point: the fronts,
-    the band limits and the three scales 2*sqrt(alpha_i*t) are computed
-    once per row.  A point within _FRONT_BAND (relative) above a front
-    belongs to the phase on its lower-x side.
+    The row form of phase_profile, equal to it point for point; xs may
+    come in any order.  A point within _FRONT_BAND (relative) above a
+    front belongs to the phase on its lower-x side.
 
     Raises:
         ValueError: An x is negative or not finite, or t is not a finite
             positive number.
     """
-    if xs and not (min(xs) >= 0.0 and all(map(math.isfinite, xs))):
-        raise ValueError("x must be finite and >= 0")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("t must be finite and > 0")
-    x2, x1 = free_boundaries(sol, t)
-    top3 = x2 * (1.0 + _FRONT_BAND)
-    top2 = x1 * (1.0 + _FRONT_BAND)
-    a1, a2, a3 = sol.ctx.alphas
-    d1 = 2.0 * math.sqrt(a1 * t)
-    d2 = 2.0 * math.sqrt(a2 * t)
-    d3 = 2.0 * math.sqrt(a3 * t)
-    # looked up per call, so wrappers installed on specfun see every call
-    erf, erfc = specfun.erf, specfun.erfc
-    phases, ws = [], []
-    for x in xs:
-        if x <= top3:
-            phases.append(3)
-            ws.append(erf(x / d3))
-        elif x <= top2:
-            phases.append(2)
-            ws.append(erf(x / d2))
-        else:
-            phases.append(1)
-            ws.append(erfc(x / d1))
-    return phases, ws
-
-
-def _excess(
-    sol: ThreePhaseSolution, phases: Sequence[int], ws: Sequence[float]
-) -> list[float]:
-    # each phase's closed-form excess above D, applied to its profile w
-    surface, slope3, solid, rise, at_front1, span2, erfc1 = sol._excess_constants
-    return [
-        surface - slope3 * w if phase == 3
-        else solid + rise * (at_front1 - w) / span2 if phase == 2
-        else solid * w / erfc1
-        for phase, w in zip(phases, ws)
-    ]
+    return _row(sol, t, xs, _profile)
 
 
 def temperature_row(
@@ -390,7 +405,7 @@ def temperature_row(
     Equal to evaluate_temperature point for point; raises as profile_row.
     """
     d = sol.ctx.temps.D
-    return [d + e for e in _excess(sol, *profile_row(sol, t, xs))]
+    return [d + e for e in _row(sol, t, xs, _phase_excess)[1]]
 
 
 def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
@@ -400,7 +415,7 @@ def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
     floating-point granularity matches the temperature differences that
     drive the physics, which downstream difference-based checks rely on.
     """
-    return _excess(sol, *profile_row(sol, t, (x,)))[0]
+    return _row(sol, t, (x,), _phase_excess)[1][0]
 
 
 def evaluate_temperature(sol: ThreePhaseSolution, x: float, t: float) -> float:

@@ -7,9 +7,9 @@ Five independent checks, each reported as a dimensionless residual:
   temperature is an affine image of that profile, and the equation is
   linear, so the relative residual of the profile equals that of the
   temperature while staying immune to the catastrophic cancellation a
-  300-kelvin offset would cause at the tested step sizes.  The profile is
-  evaluated a row of sample points at a time (solver.profile_row), so the
-  fronts and similarity scales are computed once per stencil offset.
+  300-kelvin offset would cause at the tested step sizes.  Each stencil
+  offset is one row inside one phase: the row is cut at the fronts once
+  and evaluated as that phase's slice, with no per-point classification.
 * interface: temperature continuity at both fronts, probed with the closed
   form of each adjacent phase.
 * stefan: energy balance at both fronts from the analytic one-sided
@@ -28,16 +28,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import StencilCrossesFront, ValidationError
 from .model import Violation
 from .solver import (
     _FRONT_BAND,
     ThreePhaseSolution,
+    _cut,
     _phase_excess,
+    _profile,
     free_boundaries,
     profile_row,
 )
+from .specfun import _inv_erfcx
 from .transcendental import surface_law
 
 HEAT_TOL = 1e-6
@@ -102,14 +106,15 @@ def _stencil_row(
     sol: ThreePhaseSolution, phase: int, xs: list[float], t: float
 ) -> list[float]:
     """Profile row of one stencil offset, which must lie wholly in ``phase``."""
-    got, ws = profile_row(sol, t, xs)
-    if got.count(phase) != len(got):
+    lo, hi = _cut(sol, t, xs)[2][phase]
+    if lo or hi < len(xs):
+        got = profile_row(sol, t, xs)[0]
         j = next(j for j, k in enumerate(got) if k != phase)
         raise StencilCrossesFront(
             f"stencil point (x={xs[j]!r}, t={t!r}) fell in "
             f"phase {got[j]} while testing phase {phase}"
         )
-    return ws
+    return _profile(sol, phase, t, xs)
 
 
 def heat_residual(
@@ -140,23 +145,23 @@ def heat_residual(
         floor = _EPS / t
         for phase, (lo, hi, h) in windows.items():
             alpha = sol.ctx.alphas[phase - 1]
-            if n_points > 1:
-                ratio = hi / lo
-                xs = [lo * ratio ** (j / (n_points - 1)) for j in range(n_points)]
-            else:
-                xs = [lo] * n_points
+            ratio, last = hi / lo, max(n_points - 1, 1)
+            xs = [lo * ratio ** (j / last) for j in range(n_points)]
             w0s = _stencil_row(sol, phase, xs, t)
             wms = _stencil_row(sol, phase, [x - h for x in xs], t)
             wps = _stencil_row(sol, phase, [x + h for x in xs], t)
             wtms = _stencil_row(sol, phase, xs, t - h_t)
             wtps = _stencil_row(sol, phase, xs, t + h_t)
             hh, two_h_t = h * h, 2.0 * h_t
-            for w0, wm, wp, wtm, wtp in zip(w0s, wms, wps, wtms, wtps):
-                alpha_d_xx = alpha * ((wp - 2.0 * w0 + wm) / hh)
-                d_t = (wtp - wtm) / two_h_t
-                res = abs(d_t - alpha_d_xx) / max(abs(d_t), abs(alpha_d_xx), floor)
-                if res > worst[phase]:
-                    worst[phase] = res
+            # |d_t - alpha*d_xx| / max(|d_t|, |alpha*d_xx|, floor) at every
+            # point, folded into the running worst as max() would fold it
+            worst[phase] = max(chain((worst[phase],), (
+                abs(d_t - a_xx) / (floor if floor > big else big)
+                for w0, wm, wp, wtm, wtp in zip(w0s, wms, wps, wtms, wtps)
+                for a_xx in (alpha * ((wp - 2.0 * w0 + wm) / hh),)
+                for d_t in ((wtp - wtm) / two_h_t,)
+                for big in (abs(a_xx) if abs(a_xx) > abs(d_t) else abs(d_t),)
+            )))
     return {f"phase{k}": v for k, v in worst.items()}
 
 
@@ -169,12 +174,8 @@ def interface_residual(
     """
     t_ = sol.ctx.temps
     span = t_.B - t_.D
-    worst = {
-        "front2_liquid": 0.0,
-        "front2_middle": 0.0,
-        "front1_middle": 0.0,
-        "front1_solid": 0.0,
-    }
+    worst = dict.fromkeys(
+        ("front2_liquid", "front2_middle", "front1_middle", "front1_solid"), 0.0)
     for t in times:
         x2, x1 = free_boundaries(sol, t)
         checks = (
@@ -184,15 +185,13 @@ def interface_residual(
             ("front1_solid", 1, x1, t_.C),
         )
         for key, phase, x, target in checks:
-            value = t_.D + _phase_excess(sol, phase, x, t)
-            dev = abs(value - target) / span
-            if dev > worst[key]:
-                worst[key] = dev
+            value = t_.D + _phase_excess(sol, phase, t, (x,))[0]
+            worst[key] = max(worst[key], abs(value - target) / span)
     return worst
 
 
-def _gradients_at(sol: ThreePhaseSolution, t: float) -> dict:
-    """Analytic one-sided spatial gradients at both fronts."""
+def _gradients_at(sol: ThreePhaseSolution, t: float) -> tuple:
+    """Analytic one-sided gradients: phase 1 and 2 at x1, phase 2 and 3 at x2."""
     c = sol.ctx
     t_ = c.temps
     a1, a2, a3 = c.alphas
@@ -201,21 +200,16 @@ def _gradients_at(sol: ThreePhaseSolution, t: float) -> dict:
     e2_at_1 = x1 / (2.0 * math.sqrt(a2 * t))
     e2_at_2 = x2 / (2.0 * math.sqrt(a2 * t))
     e3 = x2 / (2.0 * math.sqrt(a3 * t))
-    g1 = (
-        -(t_.C - t_.D)
-        * math.exp(-e1 * e1)
-        / (math.sqrt(math.pi * a1 * t) * math.erfc(sol.coef1))
-    )
+    num, den = math.exp(-e1 * e1), math.erfc(sol.coef1)
+    if not den:  # erfc(coef1) underflowed: scale both by exp(coef1^2)
+        k = sol.coef1
+        num, den = math.exp((k - e1) * (k + e1)), 1.0 / _inv_erfcx(k)
+    g1 = -(t_.C - t_.D) * num / (math.sqrt(math.pi * a1 * t) * den)
     slope2 = -(t_.B - t_.C) / (math.sqrt(math.pi * a2 * t) * sol._span2)
     g2_at_1 = slope2 * math.exp(-e2_at_1 * e2_at_1)
     g2_at_2 = slope2 * math.exp(-e2_at_2 * e2_at_2)
     g3 = -sol._slope3 * math.exp(-e3 * e3) / math.sqrt(math.pi * a3 * t)
-    return {
-        "g1_at_1": g1,
-        "g2_at_1": g2_at_1,
-        "g2_at_2": g2_at_2,
-        "g3_at_2": g3,
-    }
+    return g1, g2_at_1, g2_at_2, g3
 
 
 def stefan_residual(
@@ -231,16 +225,14 @@ def stefan_residual(
     p = c.props
     worst = {"front1": 0.0, "front2": 0.0}
     for t in times:
-        g = _gradients_at(sol, t)
+        g1, g2_at_1, g2_at_2, g3 = _gradients_at(sol, t)
         rate = math.sqrt(c.alpha1 / t)  # front speed divided by coefficient
-        lhs1 = p.k1 * g["g1_at_1"] - p.k2 * g["g2_at_1"]
+        lhs1 = p.k1 * g1 - p.k2 * g2_at_1
         rhs1 = p.rho * p.l1 * sol.coef1 * rate
-        lhs2 = p.k2 * g["g2_at_2"] - p.k3 * g["g3_at_2"]
+        lhs2 = p.k2 * g2_at_2 - p.k3 * g3
         rhs2 = p.rho * p.l2 * sol.coef2 * rate
         for key, lhs, rhs in (("front1", lhs1, rhs1), ("front2", lhs2, rhs2)):
-            res = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-            if res > worst[key]:
-                worst[key] = res
+            worst[key] = max(worst[key], abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     return worst
 
 
@@ -271,7 +263,7 @@ def far_field_residual(
     worst = 0.0
     for t in times:
         _, x1 = free_boundaries(sol, t)
-        dev = abs(_phase_excess(sol, 1, x_factor * x1, t)) / (t_.C - t_.D)
+        dev = abs(_phase_excess(sol, 1, t, (x_factor * x1,))[0]) / (t_.C - t_.D)
         worst = max(worst, dev)
     return worst
 

@@ -79,6 +79,9 @@ def test_field_writes_every_row():
     assert (res["failed"], res["attempted"]) == (0, 8)
     # rows per op over the field and fronts files of the seed-1 grids
     assert res["metrics"]["cli.map.rows_written"]["value"] == 3074.625
+    # one erf call per liquid-phase point, as evaluating each point on its
+    # own made (1053.625 per op at seed 1)
+    assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 1053.625
 
 
 def test_verify_does_no_extra_kernel_work():

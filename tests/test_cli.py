@@ -324,6 +324,55 @@ def test_io_errors_exit_five(capsys, tmp_path, robin_config):
     assert code == 5
 
 
+# erfc(coef1) underflows to 0 for this material: coef1 = 28.658
+UNDERFLOW_CONFIG = {
+    "k1": 0.003, "k2": 50.0, "k3": 40.0, "c1": 5.0, "c2": 0.2, "c3": 0.2,
+    "rho": 1000.0, "l1": 1000.0, "l2": 1000.0, "B": 300.0, "C": 290.0,
+    "D": 280.0, "boundary": {"type": "dirichlet", "A": 320.0},
+}
+
+
+def test_map_and_verify_survive_an_underflowed_erfc_of_coef1(
+    capsys, tmp_path, write_config
+):
+    import mpmath
+
+    path = write_config(UNDERFLOW_CONFIG)
+    out_csv = tmp_path / "field.csv"
+    code, _, err = run_cli(capsys, [
+        "map", "--config", path, "--out", str(out_csv),
+        "--tmax", "10", "--nx", "60", "--nt", "4",
+    ])
+    assert code == 0, err
+    code, out, _ = run_cli(capsys, ["solve", "--config", path])
+    coef1 = json.loads(out)["coef1"]
+    assert math.erfc(coef1) == 0.0
+
+    rows = [tuple(map(float, ln.split(",")))
+            for ln in out_csv.read_text().splitlines()[1:]]
+    fronts = {t: x1 for t, _, x1 in (
+        tuple(map(float, ln.split(",")))
+        for ln in (tmp_path / "field.fronts.csv").read_text().splitlines()[1:]
+    )}
+    assert all(math.isfinite(temp) for _, _, temp in rows)
+    for t in fronts:
+        temps = [temp for _, tt, temp in rows if tt == t]
+        assert all(a >= b for a, b in zip(temps, temps[1:]))
+    c = UNDERFLOW_CONFIG
+    solid = [(x, t, temp) for x, t, temp in rows if x > fronts[t] * (1 + 1e-14)]
+    assert len(solid) > 60
+    with mpmath.workdps(60):
+        alpha1 = mpmath.mpf(c["k1"]) / (mpmath.mpf(c["rho"]) * c["c1"])
+        for x, t, temp in solid:
+            eta = mpmath.mpf(x) / (2 * mpmath.sqrt(alpha1 * mpmath.mpf(t)))
+            ratio = mpmath.erfc(eta) / mpmath.erfc(coef1)
+            assert abs(temp - float(c["D"] + (c["C"] - c["D"]) * ratio)) <= 1e-9
+
+    code, _, err = run_cli(capsys, ["verify", "--config", path])
+    assert code in (0, 6), err
+    assert "Traceback" not in err
+
+
 def test_root_failure_exits_three(capsys, monkeypatch, robin_config):
     def boom(ctx):
         raise RootFailure("no_sign_change", "bracket search exhausted")

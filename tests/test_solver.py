@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,7 @@ from stefan3 import (
     temperature_excess,
     thresholds,
 )
-from stefan3.solver import phase_profile
+from stefan3.solver import _FRONT_BAND, phase_profile
 from _reference import h_func
 from conftest import PROPS, TEMPS
 import _expected as E
@@ -347,6 +348,22 @@ def _straddling_grid(sol, t):
     return xs + [0.0, 40.0 * x1]
 
 
+def _rows_in_any_order(sol, t):
+    # the straddling grid (its fronts come last, so it does not ascend),
+    # then the same points ascending, descending, shuffled and repeated
+    grid = _straddling_grid(sol, t)
+    shuffled = list(grid)
+    random.Random(7).shuffle(shuffled)
+    rows = [grid, sorted(grid), sorted(grid, reverse=True), shuffled,
+            [x for x in grid for _ in range(3)], grid[::-1] + grid]
+    # one-point rows on, just above and just below each band edge
+    for front in free_boundaries(sol, t):
+        top = front * (1.0 + _FRONT_BAND)
+        rows += [[top], [math.nextafter(top, math.inf)],
+                 [math.nextafter(top, -math.inf)]]
+    return rows
+
+
 @pytest.mark.parametrize("t", [0.1, 1.0, 7.3])
 def test_rows_equal_the_point_reference_bit_for_bit(
     t, sol_robin, sol_dirichlet, sol_neumann
@@ -355,19 +372,23 @@ def test_rows_equal_the_point_reference_bit_for_bit(
     from stefan3.solver import profile_row, temperature_row
 
     for sol in _row_solutions(sol_robin, sol_dirichlet, sol_neumann):
-        xs = _straddling_grid(sol, t)
-        want = [ref.phase_profile(sol, x, t) for x in xs]
-        phases, ws = profile_row(sol, t, xs)
-        assert list(zip(phases, ws)) == want
-        assert set(phases) == {1, 2, 3}
-        temps = [ref.evaluate_temperature(sol, x, t) for x in xs]
-        assert temperature_row(sol, t, xs) == temps
-        # the point functions are one-element rows
-        assert [phase_profile(sol, x, t) for x in xs] == want
-        assert [evaluate_temperature(sol, x, t) for x in xs] == temps
-        assert [temperature_excess(sol, x, t) for x in xs] == [
-            ref.temperature_excess(sol, x, t) for x in xs
-        ]
+        rows = _rows_in_any_order(sol, t)
+        assert set(profile_row(sol, t, rows[0])[0]) == {1, 2, 3}
+        # each band edge splits its one-point rows between two phases
+        edges = [profile_row(sol, t, xs)[0][0] for xs in rows[-6:]]
+        assert edges == [3, 2, 3, 2, 1, 2]
+        for xs in rows:
+            want = [ref.phase_profile(sol, x, t) for x in xs]
+            phases, ws = profile_row(sol, t, xs)
+            assert list(zip(phases, ws)) == want
+            temps = [ref.evaluate_temperature(sol, x, t) for x in xs]
+            assert temperature_row(sol, t, xs) == temps
+            # the point functions are one-element rows
+            assert [phase_profile(sol, x, t) for x in xs] == want
+            assert [evaluate_temperature(sol, x, t) for x in xs] == temps
+            assert [temperature_excess(sol, x, t) for x in xs] == [
+                ref.temperature_excess(sol, x, t) for x in xs
+            ]
 
 
 @pytest.mark.parametrize(

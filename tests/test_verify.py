@@ -231,8 +231,9 @@ def test_heat_residual_equals_the_point_by_point_loop(
             assert sol is not sol_robin
         else:
             assert heat_residual(sol, rel_step, times=times) == want
-    # one point skips the geometric spacing; two is the shortest spacing
-    for n in (1, 2):
+    # no points leave every phase at 0; one point skips the geometric
+    # spacing; two is the shortest spacing
+    for n in (0, 1, 2):
         assert heat_residual(sol_robin, n_points=n) == ref.heat_residual(
             sol_robin, n_points=n
         )
@@ -255,3 +256,19 @@ def test_stencil_point_past_a_front_raises(monkeypatch, sol_neumann):
     # the named point lies in phase 2
     x = float(str(err.value).split("x=")[1].split(",")[0])
     assert phase_profile(sol_neumann, x, DEFAULT_TIMES[0])[0] == 2
+
+    def starts_below(sol, t, rel_step):
+        # a phase-2 window whose first points lie in phase 3
+        x2, x1 = free_boundaries(sol, t)
+        h = rel_step * 2.0 * math.sqrt(sol.ctx.alpha2 * t)
+        return {2: (0.5 * x2, 0.5 * (x2 + x1), h)}
+
+    monkeypatch.setattr(verify, "_phase_windows", starts_below)
+    with pytest.raises(StencilCrossesFront) as err:
+        heat_residual(sol_neumann)
+    # the first sample of the first row is named: x = lo at the first time
+    lo = starts_below(sol_neumann, DEFAULT_TIMES[0], 1e-4)[2][0]
+    assert str(err.value) == (
+        f"stencil point (x={lo!r}, t={DEFAULT_TIMES[0]!r}) fell in "
+        "phase 3 while testing phase 2"
+    )
