@@ -10,10 +10,11 @@ error-function profile in each phase.
 The package solves all three problems, classifies the regime against the
 critical data, maps any of the three data onto the other two kinds so they
 generate the identical field, and verifies solutions by independent
-residual checks.
+residual checks.  The mapping (``equivalence``) and verification
+(``verify``) names load on first use.
 """
 
-import logging
+from importlib import import_module
 
 from .errors import (
     DiffusivityWarning,
@@ -58,36 +59,40 @@ from .solver import (
     temperature_row,
     thresholds,
 )
-from .equivalence import (
-    AutoSatisfaction,
-    CorollaryCheck,
-    EquivalenceReport,
-    HypothesisCheck,
-    auto_satisfaction,
-    bulk_floor,
-    corollary_checks,
-    dirichlet_to_neumann,
-    dirichlet_to_robin,
-    h2_star,
-    mapping,
-    neumann_to_dirichlet,
-    neumann_to_robin,
-    robin_to_dirichlet,
-    robin_to_neumann,
-)
-from .verify import (
-    ResidualReport,
-    boundary_residual,
-    far_field_residual,
-    full_report,
-    heat_residual,
-    interface_residual,
-    stefan_residual,
-)
+
+# Loaded on first use: the first touch of either submodule, or of any name
+# it exports, imports it and binds all of those names here, so later reads
+# are plain attribute hits.
+_LAZY = {
+    "equivalence": (
+        "AutoSatisfaction", "CorollaryCheck", "EquivalenceReport",
+        "HypothesisCheck", "auto_satisfaction", "bulk_floor",
+        "corollary_checks", "dirichlet_to_neumann", "dirichlet_to_robin",
+        "h2_star", "mapping", "neumann_to_dirichlet", "neumann_to_robin",
+        "robin_to_dirichlet", "robin_to_neumann",
+    ),
+    "verify": (
+        "ResidualReport", "boundary_residual", "far_field_residual",
+        "full_report", "heat_residual", "interface_residual",
+        "stefan_residual",
+    ),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = import_module(f".{module}", __name__)
+            globals().update({n: getattr(mod, n) for n in names})
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})
+
 
 __version__ = "0.1.0"
-
-logging.getLogger("stefan3").addHandler(logging.NullHandler())
 
 __all__ = [
     "AutoSatisfaction",

@@ -2,7 +2,8 @@
 
 Commands read a JSON config file and write deterministic JSON to stdout
 (CSV files for ``map``).  Diagnostics go to stderr only, controlled by the
-STEFAN3_LOG environment variable (quiet, info, debug).
+STEFAN3_LOG environment variable (quiet, info, debug; only the last two
+import ``logging``).  A warning prints as one line, ``Category: message``.
 
 Exit codes:
     0  success
@@ -19,10 +20,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import os
 import sys
+import types
+import warnings
 from typing import Optional
 
 from .errors import (
@@ -42,10 +44,17 @@ from .solver import (
     temperature_row,
     thresholds,
 )
-from .equivalence import mapping
-from .verify import full_report
 
-log = logging.getLogger("stefan3")
+
+def __getattr__(name):
+    # equiv's mapping and verify's full_report, from the package's lazy names
+    if name in ("mapping", "full_report"):
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+_cli = sys.modules[__name__]  # commands read those two through it, patches too
+log = _QUIET = types.SimpleNamespace(debug=lambda *a: None, info=lambda *a: None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,14 +110,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging() -> None:
-    level = {"quiet": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(
-        os.environ.get("STEFAN3_LOG", "quiet").strip().lower(), logging.ERROR
-    )
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.handlers[:] = [handler]
-    log.setLevel(level)
+    global log
+    level = os.environ.get("STEFAN3_LOG", "quiet").strip().upper()
+    log = _QUIET  # any other value is quiet, as nothing logs above info
+    if level in ("INFO", "DEBUG"):
+        import logging
+
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log = logging.getLogger("stefan3")
+        log.handlers[:] = [handler]
+        log.setLevel(level)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"{category.__name__}: {message}", file=sys.stderr)
 
 
 def _emit(obj: dict) -> None:
@@ -136,7 +152,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    rep = mapping(_require_bc(_context(args.config)), args.to, a_inf=args.a_inf)
+    rep = _cli.mapping(_require_bc(_context(args.config)), args.to, a_inf=args.a_inf)
     log.info("mapped %s -> %s: %s=%r", rep.source_kind, rep.target_kind,
              rep.datum_name, rep.mapped_value)
     _emit(rep.to_dict())
@@ -200,7 +216,7 @@ def cmd_verify(args) -> int:
     if args.perturb is not None:
         log.info("perturbing both coefficients by %r", args.perturb)
         sol = perturbed(sol, args.perturb, args.perturb)
-    rep = full_report(sol, rel_step=args.rel_step)
+    rep = _cli.full_report(sol, rel_step=args.rel_step)
     _emit(rep.to_dict())
     if not rep.passes:
         log.info("verification failed: %s", ", ".join(rep.failures()))
@@ -224,30 +240,32 @@ def main(argv: Optional[list] = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValidationError, MissingBoundaryDatum, StencilCrossesFront) as exc:
-        if isinstance(exc, ValidationError):
-            for v in exc.violations:
-                print(f"invalid input: {v.code}: {v.message}", file=sys.stderr)
-            if not exc.violations:
-                print("invalid input", file=sys.stderr)
-        else:
-            print(f"invalid input: {exc}", file=sys.stderr)
-        return 1
-    except RegimeError as exc:
-        _emit({"regime": exc.regime.value, "error": str(exc)})
-        print(f"regime: {exc}", file=sys.stderr)
-        return 2
-    except RootFailure as exc:
-        print(f"root search failed ({exc.reason}): {exc}", file=sys.stderr)
-        return 3
-    except HypothesisError as exc:
-        print(
-            f"hypothesis {exc.name} failed: lhs={exc.lhs!r} rhs={exc.rhs!r}",
-            file=sys.stderr,
-        )
-        return 4
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 5
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValidationError, MissingBoundaryDatum, StencilCrossesFront) as exc:
+            if isinstance(exc, ValidationError):
+                for v in exc.violations:
+                    print(f"invalid input: {v.code}: {v.message}", file=sys.stderr)
+                if not exc.violations:
+                    print("invalid input", file=sys.stderr)
+            else:
+                print(f"invalid input: {exc}", file=sys.stderr)
+            return 1
+        except RegimeError as exc:
+            _emit({"regime": exc.regime.value, "error": str(exc)})
+            print(f"regime: {exc}", file=sys.stderr)
+            return 2
+        except RootFailure as exc:
+            print(f"root search failed ({exc.reason}): {exc}", file=sys.stderr)
+            return 3
+        except HypothesisError as exc:
+            print(
+                f"hypothesis {exc.name} failed: lhs={exc.lhs!r} rhs={exc.rhs!r}",
+                file=sys.stderr,
+            )
+            return 4
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 5

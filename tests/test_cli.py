@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from stefan3.cli import main
 from stefan3.errors import HypothesisError, RootFailure
 from conftest import benchmark_config
 import _expected as E
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv):
@@ -415,6 +419,45 @@ def test_info_logging_to_stderr(capsys, monkeypatch, robin_config):
     monkeypatch.setenv("STEFAN3_LOG", "quiet")
     _, _, err = run_cli(capsys, ["solve", "--config", robin_config])
     assert "INFO" not in err
+
+
+def test_debug_logging_reports_the_parsed_config(capsys, monkeypatch,
+                                                 robin_config):
+    monkeypatch.setenv("STEFAN3_LOG", "debug")
+    code, out, err = run_cli(capsys, ["solve", "--config", robin_config])
+    assert code == 0
+    assert f"DEBUG stefan3: config {robin_config} parsed: bc=Robin(" in err
+    assert "INFO stefan3: solved robin problem" in err
+    json.loads(out)
+
+
+def test_unknown_log_level_is_as_quiet_as_none(capsys, monkeypatch,
+                                               robin_config):
+    argv = ["solve", "--config", robin_config]
+    monkeypatch.delenv("STEFAN3_LOG", raising=False)
+    unset = run_cli(capsys, argv)
+    monkeypatch.setenv("STEFAN3_LOG", "verbose")
+    assert run_cli(capsys, argv) == unset
+    assert unset[2] == ""
+
+
+def test_diffusivity_warning_is_one_line_without_a_path(tmp_path):
+    # the benchmark material has alpha2 == alpha3; a fresh interpreter shows
+    # the warning, where the test suite's filters hide it
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(benchmark_config("robin")))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("STEFAN3_LOG", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stefan3", "solve", "--config", str(cfg)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        b"DiffusivityWarning: alpha2 == alpha3: solvability is only "
+        b"established for alpha2 > alpha3\n"
+    )
 
 
 def test_module_entry_point(tmp_path):
