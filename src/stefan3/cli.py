@@ -35,7 +35,7 @@ from .errors import (
     StencilCrossesFront,
     ValidationError,
 )
-from .model import Violation, load_config
+from .model import _BOUNDARY_KINDS, Violation, load_config
 from .transcendental import ProblemContext
 from .solver import (
     free_boundaries,
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_config(sub.add_parser("equiv", help="map to another boundary kind"))
     p.add_argument("--to", required=True,
-                   choices=("robin", "dirichlet", "neumann"),
+                   choices=tuple(_BOUNDARY_KINDS),
                    help="target boundary kind")
     p.add_argument("--a-inf", type=float, default=None, dest="a_inf",
                    help="bulk temperature for mappings onto a convective "

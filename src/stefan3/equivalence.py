@@ -6,25 +6,26 @@ A = T(0), q0 = the flux coefficient, and h0 = flux coefficient /
 (A_inf - T(0)) for a chosen bulk temperature A_inf.  ``mapping`` keeps
 one table keyed by the target kind, each entry naming the datum, reading
 it off the solved source and bounding it by its admissibility hypothesis;
-the six named mappings check the source's kind and call it.  The source
-is solved once per context (``solve`` records its coefficients on the
-context).  The target is then solved by its own search, which tries a
-bracket of relative width 2e-9 around the source's coef1 first and falls
-back to the cold bracket, so the coefficients' agreement is found, not
-assumed.
+the six named mappings check the source's kind with the solver's guard
+and call it.  Every explicit bulk temperature is checked by
+model.require_bulk.  The source is solved once per context (``solve``
+records its coefficients on the context).  The target is then solved by
+its own search, which tries a bracket of relative width 2e-9 around the
+source's coef1 first and falls back to the cold bracket, so the
+coefficients' agreement is found, not assumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import specfun
 from .errors import HypothesisError, MissingBoundaryDatum, ValidationError
-from .model import Dirichlet, Neumann, Robin, Violation
+from .model import Dirichlet, Neumann, Robin, Violation, require_bulk
 from .transcendental import ProblemContext, find_root_monotone
-from .solver import ThreePhaseSolution, _solve_outer, solve, thresholds
+from .solver import ThreePhaseSolution, _of_kind, _solve_outer, solve, thresholds
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,7 @@ class HypothesisCheck:
         return self.lhs > self.rhs
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,11 @@ def _require_bulk(ctx: ProblemContext, a_inf: Optional[float]) -> None:
         raise MissingBoundaryDatum(
             "mapping to a convective condition needs a bulk temperature A_inf"
         )
-    if not math.isfinite(a_inf):
-        raise _invalid("NOT_FINITE", "A_inf must be a finite number")
-    if isinstance(ctx.bc, Dirichlet) and a_inf <= ctx.bc.A:
-        raise _invalid(
-            "BULK_NOT_ABOVE_A", "A_inf must exceed the imposed surface temperature"
-        )
-    if a_inf <= ctx.temps.B:
-        raise _invalid("BULK_NOT_ABOVE_B", "A_inf must exceed B")
+    if isinstance(ctx.bc, Dirichlet):  # A > B, so this bound is the tighter
+        require_bulk(a_inf, ctx.bc.A, "BULK_NOT_ABOVE_A",
+                     "A_inf must exceed the imposed surface temperature")
+    else:
+        require_bulk(a_inf, ctx.temps.B, "BULK_NOT_ABOVE_B", "A_inf must exceed B")
 
 
 def _mapped_h0(src: ThreePhaseSolution, a_inf: float) -> float:
@@ -164,28 +157,14 @@ def mapping(
     return EquivalenceReport(src.kind, target_kind, name, value, (check,), src, tgt)
 
 
-_SOURCE_NEEDS = {
-    Robin: "exchange heat by convection",
-    Dirichlet: "impose a temperature",
-    Neumann: "impose a flux",
-}
-
-
-def _of_kind(ctx: ProblemContext, kind: type) -> ProblemContext:
-    # the context, once its datum is of the mapping's source kind
-    if not isinstance(ctx.bc, kind):
-        raise MissingBoundaryDatum(f"source problem must {_SOURCE_NEEDS[kind]}")
-    return ctx
-
-
 def robin_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a convective datum (h0, A_inf)."""
-    return mapping(_of_kind(ctx, Robin), "dirichlet")
+    return mapping(_of_kind(ctx, "robin"), "dirichlet")
 
 
 def robin_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     """Flux coefficient equivalent to a convective datum (h0, A_inf)."""
-    return mapping(_of_kind(ctx, Robin), "neumann")
+    return mapping(_of_kind(ctx, "robin"), "neumann")
 
 
 def dirichlet_to_robin(
@@ -196,17 +175,17 @@ def dirichlet_to_robin(
     The bulk temperature is free, so it must be supplied; any a_inf above A
     works and each choice gives a different but equivalent h0.
     """
-    return mapping(_of_kind(ctx, Dirichlet), "robin", a_inf)
+    return mapping(_of_kind(ctx, "dirichlet"), "robin", a_inf)
 
 
 def dirichlet_to_neumann(ctx: ProblemContext) -> EquivalenceReport:
     """Flux coefficient equivalent to an imposed temperature A."""
-    return mapping(_of_kind(ctx, Dirichlet), "neumann")
+    return mapping(_of_kind(ctx, "dirichlet"), "neumann")
 
 
 def neumann_to_dirichlet(ctx: ProblemContext) -> EquivalenceReport:
     """Imposed temperature equivalent to a flux coefficient q0."""
-    return mapping(_of_kind(ctx, Neumann), "dirichlet")
+    return mapping(_of_kind(ctx, "neumann"), "dirichlet")
 
 
 def neumann_to_robin(
@@ -217,7 +196,7 @@ def neumann_to_robin(
     Needs a bulk temperature strictly above the surface temperature the
     flux induces; below that no positive h0 can reproduce the field.
     """
-    return mapping(_of_kind(ctx, Neumann), "robin", a_inf)
+    return mapping(_of_kind(ctx, "neumann"), "robin", a_inf)
 
 
 @dataclass(frozen=True)
@@ -234,13 +213,7 @@ class CorollaryCheck:
         return self.lhs < self.rhs if self.relation == "<" else self.lhs > self.rhs
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "relation": self.relation,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
 
 
 def corollary_checks(
@@ -258,14 +231,14 @@ def corollary_checks(
     t = ctx.temps
     p = ctx.props
     a = sol.surface_temp
-    if a_inf is None and isinstance(ctx.bc, Robin):
-        a_inf = ctx.bc.A_inf
+    if a_inf is None:
+        a_inf = getattr(ctx.bc, "A_inf", None)
     lhs = specfun.erf(sol.coef2 * ctx.sigma3)
     base = (
         math.sqrt(p.k3 * p.c3 / (p.k2 * p.c2))
         * (a - t.B)
         / (t.B - t.C)
-        * specfun.erf(ctx.z0 * ctx.sigma2)
+        * ctx._erf_z0
     )
     flux_rhs = (
         p.k3
@@ -273,7 +246,7 @@ def corollary_checks(
         * math.sqrt(ctx.alpha2 / ctx.alpha3)
         * (a - t.B)
         / (t.B - t.C)
-        * specfun.erf(ctx.z0 * ctx.sigma2)
+        * ctx._erf_z0
     )
     out = [
         CorollaryCheck("inner_front_erf_bound_limit", lhs, "<", base),
@@ -281,13 +254,8 @@ def corollary_checks(
         CorollaryCheck("surface_above_melt", a, ">", t.B),
     ]
     if a_inf is not None:
-        if not math.isfinite(a_inf):
-            raise _invalid("NOT_FINITE", "A_inf must be a finite number")
-        if a_inf <= a:
-            raise _invalid(
-                "BULK_NOT_ABOVE_SURFACE",
-                "bulk temperature must exceed the surface temperature",
-            )
+        require_bulk(a_inf, a, "BULK_NOT_ABOVE_SURFACE",
+                     "bulk temperature must exceed the surface temperature")
         out.insert(
             0,
             CorollaryCheck(
@@ -315,12 +283,7 @@ class AutoSatisfaction:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bulk_floor": self.bulk_floor,
-            "h2": self.h2,
-            "h2_star": self.h2_star,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def _h2_star_gap(ctx: ProblemContext, a_inf: float):
@@ -329,7 +292,7 @@ def _h2_star_gap(ctx: ProblemContext, a_inf: float):
         p.k3
         * (a_inf - t.B)
         * math.sqrt(math.pi * ctx.alpha2)
-        * specfun.erf(ctx.z0 * ctx.sigma2)
+        * ctx._erf_z0
     )
     den_coef = p.k2 * (t.B - t.C)
     root_pi_a3 = math.sqrt(math.pi * ctx.alpha3)
@@ -345,7 +308,7 @@ def bulk_floor(ctx: ProblemContext) -> float:
     p, t = ctx.props, ctx.temps
     return t.B + math.sqrt(ctx.alpha3 / ctx.alpha2) * (p.k2 / p.k3) * (
         t.B - t.C
-    ) / specfun.erf(ctx.z0 * ctx.sigma2)
+    ) / ctx._erf_z0
 
 
 def h2_star(ctx: ProblemContext, a_inf: float) -> float:

@@ -210,6 +210,16 @@ def require_valid(
         raise ValidationError(violations)
 
 
+def require_bulk(a_inf: float, floor: float, code: str, message: str) -> None:
+    """Raise ValidationError unless a bulk temperature is finite and above floor."""
+    if not math.isfinite(a_inf):
+        raise ValidationError(
+            [Violation("NOT_FINITE", "A_inf must be a finite number")]
+        )
+    if a_inf <= floor:
+        raise ValidationError([Violation(code, message)])
+
+
 def _as_number(obj: dict, key: str) -> float:
     try:
         value = obj[key]

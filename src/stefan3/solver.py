@@ -5,9 +5,12 @@ A solved problem is its context and the pair of front coefficients
 temperature in each phase is an affine image of one error-function profile
 in the similarity variable x/(2*sqrt(alpha_i*t)).  Everything else is
 derived from those on first use.  The boundary kind enters only through
-its record, transcendental.surface_law(bc).  A row of x values at one time,
-in any order, is cut once at the fronts into its phase slices, and each
-slice is evaluated by its phase's formula with no per-point branch.
+its record, transcendental.surface_law(bc), and through solve, which
+calls solve_<kind> by its name in this module; one guard, _of_kind,
+checks the datum's kind for those and for the named mappings.  A row of
+x values at one time, in any order, is cut once at the fronts into its
+phase slices, and each slice is evaluated by its phase's formula with no
+per-point branch.
 """
 
 from __future__ import annotations
@@ -15,19 +18,13 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import specfun
-from .errors import MissingBoundaryDatum, RegimeError, RootFailure, ValidationError
-from .model import (
-    Dirichlet,
-    Neumann,
-    Robin,
-    Violation,
-    config_to_dict,
-)
+from .errors import MissingBoundaryDatum, RegimeError, RootFailure
+from .model import config_to_dict, require_bulk
 from .specfun import _inv_erfcx
 from .transcendental import (
     ProblemContext,
@@ -66,11 +63,7 @@ class Thresholds:
     h2: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {"z0": self.z0, "q1": self.q1, "q2": self.q2}
-        if self.h1 is not None:
-            out["h1"] = self.h1
-            out["h2"] = self.h2
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds:
@@ -94,26 +87,19 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
     z0 = ctx.z0
 
     q1 = p.k1 * (t.C - t.D) / math.sqrt(math.pi * a1)
-    q2 = p.k2 * (t.B - t.C) / (math.sqrt(a2 * math.pi) * specfun.erf(z0 * ctx.sigma2))
+    q2 = p.k2 * (t.B - t.C) / (math.sqrt(a2 * math.pi) * ctx._erf_z0)
 
-    if a_inf is None and isinstance(ctx.bc, Robin):
-        a_inf = ctx.bc.A_inf
+    if a_inf is None:
+        a_inf = getattr(ctx.bc, "A_inf", None)
     if a_inf is None:
         return Thresholds(z0=z0, q1=q1, q2=q2)
-    if not math.isfinite(a_inf):
-        raise ValidationError(
-            [Violation("NOT_FINITE", "A_inf must be a finite number")]
-        )
-    if a_inf <= t.B:
-        raise ValidationError(
-            [Violation("BULK_NOT_ABOVE_B", "bulk temperature must exceed B")]
-        )
+    require_bulk(a_inf, t.B, "BULK_NOT_ABOVE_B", "bulk temperature must exceed B")
     h1 = p.k1 / math.sqrt(math.pi * a1) * (t.C - t.D) / (a_inf - t.C)
     h2 = (
         (t.B - t.C)
         / (a_inf - t.B)
         * math.sqrt(p.k2 * p.k3 * p.c2 / (math.pi * p.c3 * a3))
-        / specfun.erf(z0 * ctx.sigma2)
+        / ctx._erf_z0
     )
     return Thresholds(z0=z0, q1=q1, q2=q2, h1=h1, h2=h2)
 
@@ -269,6 +255,13 @@ def _solve_outer(
     return ThreePhaseSolution(ctx, *coefs)
 
 
+def _of_kind(ctx: ProblemContext, kind: str) -> ProblemContext:
+    # the context, once its boundary datum is of the given kind
+    if getattr(ctx.bc, "kind", None) != kind:
+        raise MissingBoundaryDatum(f"the operation needs a {kind} boundary datum")
+    return ctx
+
+
 def solve_robin(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under convective surface exchange.
 
@@ -278,42 +271,33 @@ def solve_robin(ctx: ProblemContext) -> ThreePhaseSolution:
         RootFailure: The bracketed search failed (seen for data within
             about 1e-12 of the threshold, see _outer_bracket).
     """
-    if not isinstance(ctx.bc, Robin):
-        raise MissingBoundaryDatum("solve_robin needs h0 and A_inf")
-    return _solve_outer(ctx)
+    return _solve_outer(_of_kind(ctx, "robin"))
 
 
 def solve_dirichlet(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under an imposed surface temperature A > B."""
-    if not isinstance(ctx.bc, Dirichlet):
-        raise MissingBoundaryDatum("solve_dirichlet needs a surface temperature")
-    return _solve_outer(ctx)
+    return _solve_outer(_of_kind(ctx, "dirichlet"))
 
 
 def solve_neumann(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under an imposed surface flux q0/sqrt(t)."""
-    if not isinstance(ctx.bc, Neumann):
-        raise MissingBoundaryDatum("solve_neumann needs a flux coefficient")
-    return _solve_outer(ctx)
+    return _solve_outer(_of_kind(ctx, "neumann"))
 
 
 def solve(ctx: ProblemContext) -> ThreePhaseSolution:
     """Solve under the context's boundary datum.
 
-    Dispatches to the solver matching the datum's kind.  A context is
-    solved once: later calls rebuild the solution from the front
-    coefficients recorded on the context, bit for bit, with no search.
+    Calls solve_<kind> for the datum's kind, read from this module's
+    namespace at call time, so a wrapper bound to that name is the one
+    called.  A context is solved once: later calls rebuild the solution
+    from the front coefficients recorded on the context, bit for bit, with
+    no search.
     """
     if ctx.coefs is not None:
         return ThreePhaseSolution(ctx, *ctx.coefs)
-    bc = ctx.bc
-    if isinstance(bc, Robin):
-        return solve_robin(ctx)
-    if isinstance(bc, Dirichlet):
-        return solve_dirichlet(ctx)
-    if isinstance(bc, Neumann):
-        return solve_neumann(ctx)
-    raise MissingBoundaryDatum("solve needs a boundary datum")
+    if ctx.bc is None:
+        raise MissingBoundaryDatum("solve needs a boundary datum")
+    return globals()[f"solve_{ctx.bc.kind}"](ctx)
 
 
 def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:

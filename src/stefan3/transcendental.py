@@ -67,6 +67,7 @@ _SLACK_STEPS = 4
 # alone, so a context under another boundary datum can inherit them.
 _MATERIAL_CACHE = (
     "alphas", "ste1", "ste2", "sigma2", "sigma3", "_h_offset_coef", "z0",
+    "_erf_z0",
 )
 
 
@@ -139,6 +140,12 @@ class ProblemContext:
     def z0(self) -> float:
         """Unique positive zero of h, found by find_root_monotone."""
         return find_root_monotone(_h_kernel(self), 0.0, hi_start=1.0, tol=1e-13)
+
+    @cached_property
+    def _erf_z0(self) -> float:
+        # the phase-2 profile at z0, a factor of the upper thresholds and of
+        # the corollary bounds
+        return specfun.erf(self.z0 * self.sigma2)
 
     # The solved (coef1, coef2), recorded on the instance by the solver;
     # the pair and not the solution, which refers back to its context.

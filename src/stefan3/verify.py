@@ -254,11 +254,11 @@ def far_field_residual(
 ) -> float:
     """Deviation from the initial temperature at x_factor times the outer front.
 
-    Relative to the solid-phase amplitude C - D.  x_factor must be at
-    least 10 to land meaningfully beyond the front.
+    Relative to the solid-phase amplitude C - D.  x_factor must be finite
+    and at least 10 to land meaningfully beyond the front.
     """
-    if x_factor < 10.0:
-        raise ValueError("x_factor must be >= 10")
+    if not 10.0 <= x_factor < math.inf:
+        raise ValueError("x_factor must be finite and >= 10")
     t_ = sol.ctx.temps
     worst = 0.0
     for t in times:

@@ -22,7 +22,9 @@ from stefan3 import (
     perturbed,
     solve,
     solve_dirichlet,
+    solve_neumann,
     solve_robin,
+    solver,
     specfun,
     surface_values,
     temperature_excess,
@@ -135,15 +137,43 @@ def test_subcritical_data_refused(ctx_plain):
     assert exc.value.regime is Regime.SINGLE_PHASE
 
 
-def test_solver_kind_guards(ctx_robin, ctx_neumann, ctx_plain):
-    with pytest.raises(MissingBoundaryDatum):
-        solve_robin(ctx_neumann)
-    with pytest.raises(MissingBoundaryDatum):
-        solve_dirichlet(ctx_robin)
+def test_solver_kind_guards(ctx_robin, ctx_dirichlet, ctx_neumann, ctx_plain):
+    contexts = {"robin": ctx_robin, "dirichlet": ctx_dirichlet, "neumann": ctx_neumann}
+    for fn in (solve_robin, solve_dirichlet, solve_neumann):
+        kind = fn.__name__[len("solve_"):]
+        for ctx in [c for k, c in contexts.items() if k != kind] + [ctx_plain]:
+            with pytest.raises(MissingBoundaryDatum):
+                fn(ctx)
     with pytest.raises(MissingBoundaryDatum):
         solve(ctx_plain)
     with pytest.raises(MissingBoundaryDatum):
         classify_regime(ctx_plain)
+
+
+@pytest.mark.parametrize(
+    "bc", [Robin(h0=100.0, A_inf=334.0), Dirichlet(A=331.0), Neumann(q0=300.0)]
+)
+def test_solve_calls_its_kinds_solver_through_the_module(bc, monkeypatch):
+    # solve reads solve_<kind> from the solver module when it is called, so
+    # a wrapper bound to that module name sees the solve, once; the three
+    # solvers are distinct functions, so each name wraps one of them
+    assert len({solve_robin, solve_dirichlet, solve_neumann}) == 3
+    calls = []
+
+    def recorder(name, fn):
+        def record(ctx):
+            calls.append(name)
+            return fn(ctx)
+
+        return record
+
+    for kind in ("robin", "dirichlet", "neumann"):
+        name = f"solve_{kind}"
+        monkeypatch.setattr(solver, name, recorder(name, getattr(solver, name)))
+    ctx = ProblemContext(PROPS, TEMPS, bc)
+    sol = solve(ctx)
+    assert calls == [f"solve_{bc.kind}"]
+    assert solve(ctx) == sol and len(calls) == 1  # a solved context: no call
 
 
 def test_front_positions_and_scaling(sol_robin):
@@ -260,7 +290,7 @@ def test_perturbed_rebuilds_consistently(sol_robin):
     )
 
 
-def test_with_bc_inherits_z0_and_still_validates(searches):
+def test_with_bc_inherits_z0_and_still_validates(searches, monkeypatch):
     ctx = ProblemContext(PROPS, TEMPS)
     z0 = ctx.z0
     assert [kind for kind, _ in searches] == ["z0"]  # the fixture sees z0's search
@@ -269,6 +299,14 @@ def test_with_bc_inherits_z0_and_still_validates(searches):
     assert len(searches) == 1  # the new context searched no z0 of its own
     with pytest.raises(ValidationError):
         ctx.with_bc(Robin(h0=-1.0, A_inf=334.0))
+    # erf(z0*sigma2) is material-only too: once computed, it is inherited
+    erf_z0, q2 = ctx._erf_z0, thresholds(ctx).q2
+    erf_calls = []
+    erf = specfun.erf
+    monkeypatch.setattr(specfun, "erf", lambda x: erf_calls.append(x) or erf(x))
+    heir = ctx.with_bc(Dirichlet(A=331.0))
+    assert heir._erf_z0 == erf_z0 and thresholds(heir).q2 == q2
+    assert erf_calls == []
 
 
 @pytest.mark.parametrize(

@@ -109,8 +109,11 @@ def test_far_field_matches_reference_and_decays(sol_robin, sol_dirichlet, sol_ne
 
 
 def test_far_field_rejects_near_probe(sol_robin):
-    with pytest.raises(ValueError):
-        far_field_residual(sol_robin, x_factor=9.9)
+    for x_factor in (9.9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            far_field_residual(sol_robin, x_factor=x_factor)
+        with pytest.raises(ValueError):
+            full_report(sol_robin, x_factor=x_factor)
 
 
 def test_perturbation_scales_linearly(sol_robin):
