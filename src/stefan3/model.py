@@ -122,7 +122,41 @@ def stefan_numbers(props: MaterialProperties, temps: PhaseTemps) -> StefanNumber
     )
 
 
-_POSITIVE_FIELDS = ("k1", "k2", "k3", "c1", "c2", "c3", "rho", "l1", "l2")
+# record class -> its field names, which are also its JSON keys
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in (MaterialProperties, PhaseTemps, Robin, Dirichlet, Neumann)
+}
+
+_NOT_FINITE = Violation("NOT_FINITE", "all inputs must be finite numbers")
+
+# boundary class -> its datum's checks against the temperatures, in report
+# order: (code, message, fails(datum, temps)) on finite values
+_DATUM_CHECKS = {
+    Robin: (
+        ("ROBIN_H0_NOT_POSITIVE", "h0 must be > 0", lambda d, t: d.h0 <= 0.0),
+        ("ROBIN_BULK_NOT_ABOVE_B", "A_inf must exceed B", lambda d, t: d.A_inf <= t.B),
+    ),
+    Dirichlet: (
+        ("DIRICHLET_A_NOT_ABOVE_B", "A must exceed B", lambda d, t: d.A <= t.B),
+    ),
+    Neumann: (
+        ("NEUMANN_Q0_NOT_POSITIVE", "q0 must be > 0", lambda d, t: d.q0 <= 0.0),
+    ),
+}
+
+
+def datum_violations(temps: PhaseTemps, bc: Optional[BoundarySpec]) -> list[Violation]:
+    """The violations validate reports that the boundary datum alone decides."""
+    if bc is None:
+        return []
+    if not all(math.isfinite(getattr(bc, f)) for f in _FIELD_NAMES[type(bc)]):
+        return [_NOT_FINITE]
+    return [
+        Violation(code, message)
+        for code, message, fails in _DATUM_CHECKS[type(bc)]
+        if fails(bc, temps)
+    ]
 
 
 def validate(
@@ -141,22 +175,19 @@ def validate(
         props: Material constants.
         temps: Characteristic temperatures.
         bc: Optional boundary datum; when given, its own constraints are
-            checked too.
+            checked too (see datum_violations).
 
     Returns:
         List of Violation records, empty when valid.
     """
+    values = [getattr(x, f) for x in (props, temps) for f in _FIELD_NAMES[type(x)]]
+    datum = datum_violations(temps, bc)
+    # any non-finite input, the datum's included, is the one violation
+    if not all(math.isfinite(v) for v in values) or _NOT_FINITE in datum:
+        return [_NOT_FINITE]
+
     out: list[Violation] = []
-
-    values = [getattr(props, f) for f in _POSITIVE_FIELDS]
-    values += [temps.B, temps.C, temps.D]
-    if bc is not None:
-        values += [getattr(bc, f.name) for f in dataclasses.fields(bc)]
-    if not all(math.isfinite(v) for v in values):
-        out.append(Violation("NOT_FINITE", "all inputs must be finite numbers"))
-        return out
-
-    for f in _POSITIVE_FIELDS:
+    for f in _FIELD_NAMES[MaterialProperties]:
         if getattr(props, f) <= 0.0:
             out.append(Violation("PROPS_NOT_POSITIVE", f"{f} must be > 0"))
 
@@ -182,21 +213,7 @@ def validate(
                 stacklevel=2,
             )
 
-    if isinstance(bc, Robin):
-        if bc.h0 <= 0.0:
-            out.append(Violation("ROBIN_H0_NOT_POSITIVE", "h0 must be > 0"))
-        if bc.A_inf <= temps.B:
-            out.append(
-                Violation("ROBIN_BULK_NOT_ABOVE_B", "A_inf must exceed B")
-            )
-    elif isinstance(bc, Dirichlet):
-        if bc.A <= temps.B:
-            out.append(Violation("DIRICHLET_A_NOT_ABOVE_B", "A must exceed B"))
-    elif isinstance(bc, Neumann):
-        if bc.q0 <= 0.0:
-            out.append(Violation("NEUMANN_Q0_NOT_POSITIVE", "q0 must be > 0"))
-
-    return out
+    return out + datum
 
 
 def require_valid(
@@ -240,7 +257,7 @@ _BOUNDARY_KINDS = {cls.kind: cls for cls in (Robin, Dirichlet, Neumann)}
 
 def _from_fields(cls, obj: dict):
     # an instance of the dataclass cls, each field read from obj as a number
-    return cls(*(_as_number(obj, f.name) for f in dataclasses.fields(cls)))
+    return cls(*(_as_number(obj, name) for name in _FIELD_NAMES[cls]))
 
 
 def boundary_from_dict(obj: dict) -> BoundarySpec:
@@ -261,10 +278,7 @@ def boundary_from_dict(obj: dict) -> BoundarySpec:
 
 def boundary_to_dict(bc: BoundarySpec) -> dict:
     """JSON object form of a BoundarySpec, inverse of boundary_from_dict."""
-    out: dict = {"type": bc.kind}
-    for f in dataclasses.fields(bc):
-        out[f.name] = getattr(bc, f.name)
-    return out
+    return {"type": bc.kind, **{f: getattr(bc, f) for f in _FIELD_NAMES[type(bc)]}}
 
 
 def config_from_dict(

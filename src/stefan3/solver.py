@@ -19,7 +19,6 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import specfun
@@ -28,6 +27,7 @@ from .model import config_to_dict, require_bulk
 from .specfun import _inv_erfcx
 from .transcendental import (
     ProblemContext,
+    _cached,
     coef2_from_coef1,
     find_root_monotone,
     outer_residual,
@@ -149,11 +149,11 @@ class ThreePhaseSolution:
     def kind(self) -> str:
         return self.ctx.bc.kind
 
-    @cached_property
+    @_cached
     def thresh(self) -> Thresholds:
         return thresholds(self.ctx)
 
-    @cached_property
+    @_cached
     def _surface(self) -> tuple[float, float]:
         # (surface temperature, flux coefficient) from the kind's surface law
         c = self.ctx
@@ -170,21 +170,21 @@ class ThreePhaseSolution:
     def flux_coef(self) -> float:
         return self._surface[1]
 
-    @cached_property
+    @_cached
     def _slope3(self) -> float:
         # phase-3 profile amplitude: temperature drops by _slope3 * erf(eta3)
         return (self.surface_temp - self.ctx.temps.B) / specfun.erf(
             self.coef2 * self.ctx.sigma3
         )
 
-    @cached_property
+    @_cached
     def _span2(self) -> float:
         c = self.ctx
         return specfun.erf(self.coef1 * c.sigma2) - specfun.erf(
             self.coef2 * c.sigma2
         )
 
-    @cached_property
+    @_cached
     def _excess_constants(self) -> tuple[float, ...]:
         # every per-solution constant of the three excess formulas, in the
         # order _phase_excess unpacks them
@@ -353,12 +353,13 @@ def _phase_excess(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -
 
 def _row(sol: ThreePhaseSolution, t: float, xs: Sequence[float], kernel) -> tuple:
     # (phases, values) at every x of xs: kernel(sol, phase, t, slice) on
-    # each phase's slice of the ascending row, put back in xs's order
+    # each non-empty phase slice of the ascending row, put back in xs's order
     asc, order, cuts = _cut(sol, t, xs)
     phases, values = [], []
     for phase, (lo, hi) in cuts.items():
-        phases += [phase] * (hi - lo)
-        values += kernel(sol, phase, t, asc[lo:hi])
+        if lo < hi:
+            phases += [phase] * (hi - lo)
+            values += kernel(sol, phase, t, asc[lo:hi])
     if order is not None:  # back to xs's order
         phases, values = (
             [v for _, v in sorted(zip(order, vs))] for vs in (phases, values))

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, ClassVar, NamedTuple, Optional
 
 from . import specfun
-from .errors import MissingBoundaryDatum, RootFailure
+from .errors import MissingBoundaryDatum, RootFailure, ValidationError
 from .model import (
     BoundarySpec,
     Dirichlet,
@@ -39,6 +38,8 @@ from .model import (
     Neumann,
     PhaseTemps,
     Robin,
+    StefanNumbers,
+    datum_violations,
     diffusivities,
     require_valid,
     stefan_numbers,
@@ -63,12 +64,18 @@ _XTOL = 1e-14
 # _XTOL-wide bracket; they are the room its interpolation steps get.
 _SLACK_STEPS = 4
 
-# Cached values of a context that depend on the material and temperatures
-# alone, so a context under another boundary datum can inherit them.
-_MATERIAL_CACHE = (
-    "alphas", "ste1", "ste2", "sigma2", "sigma3", "_h_offset_coef", "z0",
-    "_erf_z0",
-)
+
+class _cached:
+    # functools.cached_property without the lock CPython 3.11 takes on each
+    # first read: the value goes to the instance dict, which later reads hit
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _exp_capped(x: float) -> float:
@@ -82,7 +89,8 @@ class ProblemContext:
     Construction runs the full model validation, so any context that exists
     describes a well-posed problem.  Derived constants, the zero ``z0`` and
     the solver's front coefficients are computed once and cached on the
-    instance.
+    instance.  Every cached value but ``coefs`` depends on the material and
+    temperatures alone.
     """
 
     props: MaterialProperties
@@ -92,7 +100,7 @@ class ProblemContext:
     def __post_init__(self):
         require_valid(self.props, self.temps, self.bc)
 
-    @cached_property
+    @_cached
     def alphas(self) -> tuple[float, float, float]:
         return diffusivities(self.props)
 
@@ -108,25 +116,29 @@ class ProblemContext:
     def alpha3(self) -> float:
         return self.alphas[2]
 
-    @cached_property
+    @_cached
+    def _stefan(self) -> StefanNumbers:
+        return stefan_numbers(self.props, self.temps)
+
+    @property
     def ste1(self) -> float:
-        return stefan_numbers(self.props, self.temps).ste1
+        return self._stefan.ste1
 
-    @cached_property
+    @property
     def ste2(self) -> float:
-        return stefan_numbers(self.props, self.temps).ste2
+        return self._stefan.ste2
 
-    @cached_property
+    @_cached
     def sigma2(self) -> float:
         # sqrt(alpha1/alpha2): rescales an outer-front coefficient into the
         # similarity variable of phase 2
         return math.sqrt(self.alpha1 / self.alpha2)
 
-    @cached_property
+    @_cached
     def sigma3(self) -> float:
         return math.sqrt(self.alpha1 / self.alpha3)
 
-    @cached_property
+    @_cached
     def _h_offset_coef(self) -> float:
         p = self.props
         return (
@@ -136,12 +148,12 @@ class ProblemContext:
             * math.sqrt(p.k2 * p.c1 / (p.k1 * p.c2))
         )
 
-    @cached_property
+    @_cached
     def z0(self) -> float:
         """Unique positive zero of h, found by find_root_monotone."""
         return find_root_monotone(_h_kernel(self), 0.0, hi_start=1.0, tol=1e-13)
 
-    @cached_property
+    @_cached
     def _erf_z0(self) -> float:
         # the phase-2 profile at z0, a factor of the upper thresholds and of
         # the corollary bounds
@@ -154,14 +166,16 @@ class ProblemContext:
     def with_bc(self, bc: Optional[BoundarySpec]) -> "ProblemContext":
         """Same material and temperatures under another boundary datum.
 
-        The new context is validated in full and inherits every
-        material-only value this one has already computed, z0 included.
+        Only the new datum is checked, against this already valid material:
+        an invalid one raises the ValidationError a fresh context would.
+        The new context inherits every material value this one has already
+        computed, z0 included, and no front coefficients.
         """
-        ctx = ProblemContext(self.props, self.temps, bc)
-        mine, theirs = vars(self), vars(ctx)
-        for name in _MATERIAL_CACHE:
-            if name in mine:
-                theirs[name] = mine[name]
+        violations = datum_violations(self.temps, bc)
+        if violations:
+            raise ValidationError(violations)
+        ctx = object.__new__(ProblemContext)
+        vars(ctx).update(vars(self), bc=bc, coefs=None)
         return ctx
 
 

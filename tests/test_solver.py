@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -290,23 +291,67 @@ def test_perturbed_rebuilds_consistently(sol_robin):
     )
 
 
-def test_with_bc_inherits_z0_and_still_validates(searches, monkeypatch):
+_BAD_NUMBERS = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        None,
+        Robin(h0=100.0, A_inf=334.0),
+        Dirichlet(A=331.0),
+        Neumann(q0=300.0),
+        Robin(h0=-1.0, A_inf=334.0),  # ROBIN_H0_NOT_POSITIVE
+        Robin(h0=100.0, A_inf=328.0),  # ROBIN_BULK_NOT_ABOVE_B, A_inf == B
+        Robin(h0=0.0, A_inf=300.0),  # both Robin codes
+        Dirichlet(A=328.0),  # DIRICHLET_A_NOT_ABOVE_B
+        Neumann(q0=0.0),  # NEUMANN_Q0_NOT_POSITIVE
+        *(Robin(h0=v, A_inf=334.0) for v in _BAD_NUMBERS),
+        *(Robin(h0=-1.0, A_inf=v) for v in _BAD_NUMBERS),
+        *(Dirichlet(A=v) for v in _BAD_NUMBERS),
+        *(Neumann(q0=v) for v in _BAD_NUMBERS),
+    ],
+    ids=lambda bc: repr(bc).replace(" ", ""),
+)
+def test_with_bc_inherits_z0_and_still_validates(bc, searches, monkeypatch):
+    from stefan3 import model, transcendental
+
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+
+    for module in (model, transcendental):
+        spy(module, "diffusivities")
+        spy(module, "stefan_numbers")
     ctx = ProblemContext(PROPS, TEMPS)
-    z0 = ctx.z0
+    material = ("alphas", "ste1", "ste2", "sigma2", "sigma3", "_h_offset_coef",
+                "z0", "_erf_z0")
+    values = [getattr(ctx, name) for name in material]
+    q2 = thresholds(ctx).q2
+    # validate's order check, then one stefan_numbers call for both numbers
+    assert calls == ["diffusivities", "diffusivities", "stefan_numbers"]
     assert [kind for kind, _ in searches] == ["z0"]  # the fixture sees z0's search
-    other = ctx.with_bc(Robin(h0=100.0, A_inf=334.0))
-    assert other.z0 == z0 and other.alphas == ctx.alphas
-    assert len(searches) == 1  # the new context searched no z0 of its own
-    with pytest.raises(ValidationError):
-        ctx.with_bc(Robin(h0=-1.0, A_inf=334.0))
-    # erf(z0*sigma2) is material-only too: once computed, it is inherited
-    erf_z0, q2 = ctx._erf_z0, thresholds(ctx).q2
-    erf_calls = []
-    erf = specfun.erf
-    monkeypatch.setattr(specfun, "erf", lambda x: erf_calls.append(x) or erf(x))
-    heir = ctx.with_bc(Dirichlet(A=331.0))
-    assert heir._erf_z0 == erf_z0 and thresholds(heir).q2 == q2
-    assert erf_calls == []
+    spy(specfun, "erf")
+    try:
+        fresh = ProblemContext(PROPS, TEMPS, bc)
+    except ValidationError as exc:
+        # only the datum is checked, and it is reported as a fresh context would
+        with pytest.raises(ValidationError) as caught:
+            ctx.with_bc(bc)
+        assert caught.value.violations == exc.violations
+        return
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor is alpha2 == alpha3 warned of again
+        heir = ctx.with_bc(bc)
+    assert heir == fresh and heir.coefs is None
+    # the heir recomputes nothing: no diffusivities, Stefan numbers,
+    # erf(z0*sigma2) or z0 search of its own
+    assert [getattr(heir, name) for name in material] == values
+    assert thresholds(heir).q2 == q2
+    assert calls == [] and len(searches) == 1
 
 
 @pytest.mark.parametrize(
@@ -453,6 +498,27 @@ def test_profile_row_rejects_points_outside_the_domain(sol_robin, xs, t):
         profile_row(sol_robin, t, xs)
     with pytest.raises(ValueError):
         temperature_row(sol_robin, t, xs)
+
+
+def test_a_single_point_runs_one_phase_kernel(sol_robin, monkeypatch):
+    calls = []
+
+    def spy(module, name, label):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(label) or fn(*a))
+
+    spy(specfun, "erf", "erf")
+    spy(specfun, "erfc", "erfc")
+    spy(solver, "_phase_excess", "kernel")
+    spy(solver, "_profile", "kernel")
+    x2, x1 = free_boundaries(sol_robin, 1.0)
+    for x, profile in ((0.5 * x2, "erf"), (0.5 * (x1 + x2), "erf"), (2.0 * x1, "erfc")):
+        for point in (evaluate_temperature, temperature_excess, phase_profile):
+            point(sol_robin, x, 1.0)  # the solution's constants are cached now
+            calls.clear()
+            point(sol_robin, x, 1.0)
+            # the point's own phase alone: no kernel runs on an empty slice
+            assert calls == ["kernel", profile], (x, point.__name__)
 
 
 def test_empty_row(sol_robin):
