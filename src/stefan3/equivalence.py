@@ -234,23 +234,17 @@ def corollary_checks(
     if a_inf is None:
         a_inf = getattr(ctx.bc, "A_inf", None)
     lhs = specfun.erf(sol.coef2 * ctx.sigma3)
+    # sqrt(k3 c3/(k2 c2)) = (k3/k2) sqrt(alpha2/alpha3): the limit and the
+    # flux bound are one number
     base = (
         math.sqrt(p.k3 * p.c3 / (p.k2 * p.c2))
         * (a - t.B)
         / (t.B - t.C)
         * ctx._erf_z0
     )
-    flux_rhs = (
-        p.k3
-        / p.k2
-        * math.sqrt(ctx.alpha2 / ctx.alpha3)
-        * (a - t.B)
-        / (t.B - t.C)
-        * ctx._erf_z0
-    )
     out = [
         CorollaryCheck("inner_front_erf_bound_limit", lhs, "<", base),
-        CorollaryCheck("inner_front_erf_bound_flux", lhs, "<", flux_rhs),
+        CorollaryCheck("inner_front_erf_bound_flux", lhs, "<", base),
         CorollaryCheck("surface_above_melt", a, ">", t.B),
     ]
     if a_inf is not None:

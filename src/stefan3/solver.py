@@ -83,7 +83,7 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
             exceed B.
     """
     p, t = ctx.props, ctx.temps
-    a1, a2, a3 = ctx.alphas
+    a1, a2, _ = ctx.alphas
     z0 = ctx.z0
 
     q1 = p.k1 * (t.C - t.D) / math.sqrt(math.pi * a1)
@@ -94,13 +94,9 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
     if a_inf is None:
         return Thresholds(z0=z0, q1=q1, q2=q2)
     require_bulk(a_inf, t.B, "BULK_NOT_ABOVE_B", "bulk temperature must exceed B")
-    h1 = p.k1 / math.sqrt(math.pi * a1) * (t.C - t.D) / (a_inf - t.C)
-    h2 = (
-        (t.B - t.C)
-        / (a_inf - t.B)
-        * math.sqrt(p.k2 * p.k3 * p.c2 / (math.pi * p.c3 * a3))
-        / ctx._erf_z0
-    )
+    # the flux thresholds read through the convective law q = h*(A_inf - T(0))
+    # at the surface temperatures C and B where each regime starts
+    h1, h2 = q1 / (a_inf - t.C), q2 / (a_inf - t.B)
     return Thresholds(z0=z0, q1=q1, q2=q2, h1=h1, h2=h2)
 
 
@@ -154,28 +150,30 @@ class ThreePhaseSolution:
         return thresholds(self.ctx)
 
     @_cached
-    def _surface(self) -> tuple[float, float]:
-        # (surface temperature, flux coefficient) from the kind's surface law
+    def _surface(self) -> tuple[float, float, float]:
+        # (phase-3 amplitude s, surface temperature, flux coefficient): the
+        # law theta*s + (1 - theta)*(T(0) - B) = n with T(0) - B = s*e
+        # gives s = n/w, w = theta + (1 - theta)*e, e = erf(coef2*sigma3)
         c = self.ctx
-        slope, surface = surface_law(c.bc).surface(
-            c, specfun.erf(self.coef2 * c.sigma3)
-        )
-        return surface, c.props.k3 * slope / math.sqrt(math.pi * c.alpha3)
+        theta, n = surface_law(c.bc).read(c)
+        e = specfun.erf(self.coef2 * c.sigma3)
+        w = theta + (1.0 - theta) * e
+        s = n / w
+        return s, c.temps.B + n * (e / w), c.props.k3 * s / math.sqrt(
+            math.pi * c.alpha3)
 
     @property
     def surface_temp(self) -> float:
-        return self._surface[0]
+        return self._surface[1]
 
     @property
     def flux_coef(self) -> float:
-        return self._surface[1]
+        return self._surface[2]
 
-    @_cached
+    @property
     def _slope3(self) -> float:
         # phase-3 profile amplitude: temperature drops by _slope3 * erf(eta3)
-        return (self.surface_temp - self.ctx.temps.B) / specfun.erf(
-            self.coef2 * self.ctx.sigma3
-        )
+        return self._surface[0]
 
     @_cached
     def _span2(self) -> float:

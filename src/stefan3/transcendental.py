@@ -10,17 +10,22 @@ the front coefficients:
   solves erf(coef2*sigma2) = h(z) for the inner coefficient matched to an
   outer one.  ``_h_kernel`` evaluates h for the z0 search.
 * ``SurfaceLaw``: one record per boundary kind, looked up by the datum's
-  class through ``surface_law``, holding everything the kinds differ in.
+  class through ``surface_law``.  The kinds differ only in the surface
+  law theta*s + (1 - theta)*(T(0) - B) = n on the phase-3 amplitude s, and
+  the record reads (theta, n) off the datum: theta = 0 for an imposed
+  temperature, 1 for an imposed flux and k/(1 + k) for convective
+  exchange, whose law lies between the other two: the paper's equivalence.
 * ``outer_residual``: the single remaining equation for the outer
-  coefficient, built once per solve: q(z) = (l1/l2) phi(z)
-  exp(z^2 alpha1/alpha2) against the record's residual at the matched
+  coefficient, one form for every kind, built once per solve: q(z) =
+  (l1/l2) phi(z) exp(z^2 alpha1/alpha2) against the law at the matched
   inner coefficient.  It hoists every per-problem constant and evaluates
   phi once per point.
 
-The point-by-point forms (``h_func``, ``q_func``, ``t_func``/``u_func``,
-``v_func``, ``p_func``) live in the tests' reference module,
-``tests/_reference.py``, which checks the fused kernels against them bit
-for bit.
+The point-by-point forms live in the tests' reference module,
+``tests/_reference.py``: ``h_func``, ``q_func`` and the law's
+``law_residual``, which the fused kernels equal bit for bit, and the
+paper's per-kind right-hand sides (``t_func``/``u_func``, ``v_func``,
+``p_func``), whose equation has the same signs and root.
 """
 
 from __future__ import annotations
@@ -217,16 +222,6 @@ def coef2_from_coef1(z: float, ctx: ProblemContext) -> float:
     return math.sqrt(ctx.alpha2 / ctx.alpha1) * scaled
 
 
-def _surface_coef(surface: float, ctx: ProblemContext) -> float:
-    # the surface temperature's excess over B in the outer equation's units
-    p = ctx.props
-    return (
-        (surface - ctx.temps.B)
-        / (p.l2 * _SQRT_PI)
-        * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
-    )
-
-
 def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
     # h for z >= 0 with the per-material constants hoisted.  The kernels
     # are bound here, once per search, so wrappers installed on specfun see
@@ -245,106 +240,40 @@ def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
 
 
 class SurfaceLaw(NamedTuple):
-    """How one boundary kind's phase-3 slope depends on e = erf(coef2*sigma3).
+    """The surface condition of one boundary kind, as one linear law.
 
-    ``outer(ctx)`` builds the outer equation's residual (q(z), m) -> float
-    at the matched inner coefficient m >= 0; ``surface(ctx, e)`` gives
-    (slope, surface temperature); ``check(ctx, surface_temp, flux_coef, t)``
-    the surface condition's relative residual.  ``bounds`` names the datum
-    and the Thresholds fields bounding its regimes, or is None where every
+    Every kind imposes theta*s + (1 - theta)*(T(0) - B) = n on the surface
+    temperature T(0) and the phase-3 amplitude s (the temperature falls by
+    s*erf(eta3) from T(0), so T(0) - B = s*erf(coef2*sigma3)).  ``read(ctx)``
+    gives (theta, n) for the context's datum: theta = 0 and n = A - B for an
+    imposed temperature, theta = 1 and n = q0*sqrt(pi*alpha3)/k3 for an
+    imposed flux, and in between, theta = k/(1 + k) and n = (A_inf - B)/(1 +
+    k) with k = k3/(h0*sqrt(pi*alpha3)), for convective exchange.  The
+    outer equation, the surface values and the verifier's check are derived
+    from it for every kind alike.  ``bounds`` names the datum and the
+    Thresholds fields bounding its regimes, or is None where every
     admissible datum melts both ways.
     """
 
-    outer: Callable[[ProblemContext], Callable[[float, float], float]]
-    surface: Callable[[ProblemContext, float], tuple[float, float]]
-    check: Callable[[ProblemContext, float, float, float], float]
+    read: Callable[[ProblemContext], tuple[float, float]]
     bounds: Optional[tuple[str, str, str]]
 
 
-def _khat(ctx: ProblemContext) -> float:
-    # k3 / (h0 sqrt(pi alpha3)): the convective law's resistance term
-    return ctx.props.k3 / (ctx.bc.h0 * math.sqrt(math.pi * ctx.alpha3))
-
-
-def _robin_outer(ctx: ProblemContext) -> Callable[[float, float], float]:
-    coef = _surface_coef(ctx.bc.A_inf, ctx)
-    khat = _khat(ctx)
-    a1, a2, a3 = ctx.alphas
-    erf, sigma3, spread = specfun.erf, ctx.sigma3, a1 / a3 - a1 / a2
-
-    def robin(q: float, m: float) -> float:
-        return q - (
-            coef * math.exp(-m * m * spread) / (khat + erf(m * sigma3))
-            - m * _exp_capped(m * m * a1 / a2)
-        )
-
-    return robin
-
-
-def _robin_surface(ctx: ProblemContext, e: float) -> tuple[float, float]:
-    slope = (ctx.bc.A_inf - ctx.temps.B) / (_khat(ctx) + e)
-    return slope, ctx.temps.B + slope * e
-
-
-def _robin_check(ctx: ProblemContext, temp: float, coef: float, t: float) -> float:
-    flux = -coef / math.sqrt(t)  # k3 * dT/dx at x = 0
-    rhs = ctx.bc.h0 / math.sqrt(t) * (temp - ctx.bc.A_inf)
-    return abs(flux - rhs) / max(abs(flux), abs(rhs))
-
-
-def _dirichlet_outer(ctx: ProblemContext) -> Callable[[float, float], float]:
-    coef = _surface_coef(ctx.bc.A, ctx)
-    a1, a2, a3 = ctx.alphas
-    erf, sigma3, spread = specfun.erf, ctx.sigma3, a1 / a3 - a1 / a2
-
-    def dirichlet(q: float, m: float) -> float:
-        # times erf(m*sigma3): the same sign and root, still increasing,
-        # and finite at the law's pole m = 0
-        e = erf(m * sigma3)
-        return e * q - (
-            coef * math.exp(-m * m * spread) - m * _exp_capped(m * m * a1 / a2) * e
-        )
-
-    return dirichlet
-
-
-def _dirichlet_surface(ctx: ProblemContext, e: float) -> tuple[float, float]:
-    return (ctx.bc.A - ctx.temps.B) / e, ctx.bc.A
-
-
-def _dirichlet_check(ctx: ProblemContext, temp: float, coef: float, t: float) -> float:
-    return abs(temp - ctx.bc.A) / (ctx.bc.A - ctx.temps.B)
-
-
-def _neumann_outer(ctx: ProblemContext) -> Callable[[float, float], float]:
-    p = ctx.props
-    flux = ctx.bc.q0 / p.l2 * math.sqrt(p.c1 / (p.rho * p.k1))
-    a1, a2, a3 = ctx.alphas
-
-    def neumann(q: float, m: float) -> float:
-        return q - _exp_capped(m * m * a1 / a2) * (
-            -m + flux * math.exp(-m * m * a1 / a3)
-        )
-
-    return neumann
-
-
-def _neumann_surface(ctx: ProblemContext, e: float) -> tuple[float, float]:
-    slope = ctx.bc.q0 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
-    return slope, ctx.temps.B + slope * e
-
-
-def _neumann_check(ctx: ProblemContext, temp: float, coef: float, t: float) -> float:
-    flux = -coef / math.sqrt(t)
-    return abs(flux * math.sqrt(t) + ctx.bc.q0) / ctx.bc.q0
+def _robin_law(ctx: ProblemContext) -> tuple[float, float]:
+    # h0*(A_inf - T(0)) = k3*s/sqrt(pi alpha3), that is A_inf - T(0) = k*s
+    k = ctx.props.k3 / (ctx.bc.h0 * math.sqrt(math.pi * ctx.alpha3))
+    return k / (1.0 + k), (ctx.bc.A_inf - ctx.temps.B) / (1.0 + k)
 
 
 # boundary class -> its surface law, built once at import
 _LAWS = {
-    Robin: SurfaceLaw(_robin_outer, _robin_surface, _robin_check, ("h0", "h1", "h2")),
-    Dirichlet: SurfaceLaw(_dirichlet_outer, _dirichlet_surface, _dirichlet_check, None),
+    Robin: SurfaceLaw(_robin_law, ("h0", "h1", "h2")),
+    Dirichlet: SurfaceLaw(lambda ctx: (0.0, ctx.bc.A - ctx.temps.B), None),
     Neumann: SurfaceLaw(
-        _neumann_outer, _neumann_surface, _neumann_check, ("q0", "q1", "q2")
+        lambda ctx: (
+            1.0, ctx.bc.q0 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
+        ),
+        ("q0", "q1", "q2"),
     ),
 }
 
@@ -358,25 +287,36 @@ def surface_law(bc: Optional[BoundarySpec]) -> SurfaceLaw:
 
 
 def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
-    """The outer-coefficient equation of the context's boundary kind.
+    """The outer-coefficient equation, the same for every boundary kind.
 
     Returns a strictly increasing function of the outer coefficient z > z0
-    whose zero is the solved coef1: q(z) minus the surface law at
-    m = max(coef2_from_coef1(z), 0), both times erf(m*sigma3) for an imposed
-    temperature.  The surface law is chosen and every per-problem constant
-    computed when the function is built, and phi runs once per evaluation.
-    The specfun kernels are bound when it is built, so build one per solve.
+    whose zero is the solved coef1:
+
+        w*(q(z) + m*exp(m^2 alpha1/alpha2)) - d*n*exp(-m^2 (alpha1/alpha3
+        - alpha1/alpha2))
+
+    at m = max(coef2_from_coef1(z), 0), with (theta, n) the datum's
+    surface law, w = theta + (1 - theta)*erf(m*sigma3) in (0, 1] and d =
+    sqrt(k3 c1 c3/k1)/(l2 sqrt(pi)).  It is the phase-2/3 energy balance
+    with s = n/w, times w, so it stays finite at m = 0.  The law is read
+    and every per-problem constant computed when the function is built,
+    phi runs once per evaluation and erf does not run for theta = 1.  The
+    specfun kernels are bound when it is built, so build one per solve.
 
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
     """
-    law = surface_law(ctx.bc).outer(ctx)
-    erfc, erfc_inv, inv_erfcx = specfun.erfc, specfun.erfc_inv, specfun._inv_erfcx
-    a1, a2, _ = ctx.alphas
-    sigma2, offset = ctx.sigma2, ctx._h_offset_coef
+    theta, n = surface_law(ctx.bc).read(ctx)
+    erf, erfc, erfc_inv = specfun.erf, specfun.erfc, specfun.erfc_inv
+    inv_erfcx = specfun._inv_erfcx
+    p = ctx.props
+    a1, a2, a3 = ctx.alphas
+    sigma2, sigma3, offset = ctx.sigma2, ctx.sigma3, ctx._h_offset_coef
     ste = ctx.ste1 / _SQRT_PI
-    latent = ctx.props.l1 / ctx.props.l2
+    latent = p.l1 / p.l2
     inner_scale = math.sqrt(a2 / a1)
+    rest, spread = 1.0 - theta, a1 / a3 - a1 / a2
+    drive = n / (p.l2 * _SQRT_PI) * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
 
     def residual(z: float) -> float:
         e = z * z * a1 / a2
@@ -385,7 +325,11 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
         # raises ValueError for a tail of 2 or more (z far below z0)
         tail = erfc(z * sigma2) + offset * math.exp(-e) / ph
         scaled = erfc_inv(tail) if tail > 0.0 else _INNER_SATURATION
-        return law(latent * ph * _exp_capped(e), max(inner_scale * scaled, 0.0))
+        m = max(inner_scale * scaled, 0.0)
+        w = theta + rest * erf(m * sigma3) if rest else 1.0
+        return w * (
+            latent * ph * _exp_capped(e) + m * _exp_capped(m * m * a1 / a2)
+        ) - drive * math.exp(-m * m * spread)
 
     return residual
 

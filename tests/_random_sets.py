@@ -8,6 +8,7 @@ regime where all mappings are defined: h0 and q0 sit a factor of at least
 relevant surface temperature by an explicit margin.
 """
 
+import math
 import random
 
 from stefan3 import (
@@ -60,4 +61,43 @@ def make_sets(n: int = 50, seed: int = SEED) -> list:
                 "margin_n": rng.uniform(0.5, 5.0),
             }
         )
+    return out
+
+
+def wide_sets(n: int = 10, seed: int = 7) -> list:
+    """A wide admissible family: every value log-uniform over its range.
+
+    k in [0.01, 100], c in [0.1, 10], rho in [100, 5000], l1 and l2 in
+    [1, 1e5], C - D and B - C in [0.5, 50] K; h0 and q0 at their upper
+    thresholds times [1.5, 1e3], A = B + [0.1, 100] K and A_inf = B + [1,
+    100] K.  Phases 2 and 3 swap where needed so that alpha2 > alpha3.
+    """
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    for _ in range(n):
+        k1, k2, k3 = (draw(0.01, 100.0) for _ in range(3))
+        c1, c2, c3 = (draw(0.1, 10.0) for _ in range(3))
+        if k2 / c2 < k3 / c3:
+            (k2, c2), (k3, c3) = (k3, c3), (k2, c2)
+        props = MaterialProperties(
+            k1=k1, k2=k2, k3=k3, c1=c1, c2=c2, c3=c3, rho=draw(100.0, 5000.0),
+            l1=draw(1.0, 1e5), l2=draw(1.0, 1e5),
+        )
+        D = rng.uniform(250.0, 320.0)
+        C = D + draw(0.5, 50.0)
+        B = C + draw(0.5, 50.0)
+        ctx = ProblemContext(props, PhaseTemps(B=B, C=C, D=D))
+        a_inf = B + draw(1.0, 100.0)
+        h0 = thresholds(ctx, a_inf).h2 * draw(1.5, 1e3)
+        q0 = thresholds(ctx).q2 * draw(1.5, 1e3)
+        out.append({
+            "ctx": ctx,
+            "robin": Robin(h0=h0, A_inf=a_inf),
+            "dirichlet": Dirichlet(A=B + draw(0.1, 100.0)),
+            "neumann": Neumann(q0=q0),
+        })
     return out

@@ -1,14 +1,18 @@
 """Point-by-point reference implementations of the fused code.
 
 The scalar functions of the outer-coefficient equation, one z at a time:
-``h_func``, whose zero is z0, the left side ``q_func``, and the surface
-laws ``t_func`` (convective, composed with the inner match as
-``u_func``), ``v_func`` (imposed temperature; ``v_func_times_erf`` is it
-without its pole) and ``p_func`` (imposed flux).  The package evaluates
-them fused, in ``transcendental._h_kernel`` and
-``transcendental.outer_residual``; ``outer_residual`` below composes the
-point functions as each solver's own residual did before, and the tests
-assert that the fused kernels equal them bit for bit.
+``h_func``, whose zero is z0, the left side ``q_func``, the surface law
+of every kind as (theta, n) read off its datum (``law``) and the
+outer equation it gives (``law_residual``).  The package evaluates them
+fused, in ``transcendental._h_kernel`` and ``transcendental.outer_residual``,
+and the tests assert that the fused kernels equal them bit for bit.
+
+The paper writes each kind's equation with its own right-hand side:
+``t_func`` (convective, composed with the inner match as ``u_func``),
+``v_func`` (imposed temperature; ``v_func_times_erf`` is it without its
+pole) and ``p_func`` (imposed flux).  ``outer_residual`` composes them as
+each solver's own residual once did; the tests assert that the law's
+equation has the same sign everywhere and the same root.
 
 The package evaluates its fields one time row at a time
 (``solver.profile_row``).  The functions after those evaluate one (x, t)
@@ -24,9 +28,9 @@ from stefan3.errors import MissingBoundaryDatum, StencilCrossesFront
 from stefan3.model import Dirichlet, Neumann, Robin
 from stefan3.solver import _FRONT_BAND, free_boundaries
 from stefan3.transcendental import (
+    _SQRT_PI,
     _exp_capped,
     _h_subtracted,
-    _surface_coef,
     coef2_from_coef1,
     phi,
 )
@@ -54,6 +58,59 @@ def q_func(z, ctx):
     return (
         p.l1 / p.l2 * phi(z, ctx) * _exp_capped(z * z * ctx.alpha1 / ctx.alpha2)
     )
+
+
+def _surface_coef(surface, ctx):
+    # the surface temperature's excess over B in the outer equation's units
+    p = ctx.props
+    return (
+        (surface - ctx.temps.B)
+        / (p.l2 * _SQRT_PI)
+        * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
+    )
+
+
+def law(ctx):
+    """(theta, n) of theta*s + (1 - theta)*(T(0) - B) = n for the datum.
+
+    s is the phase-3 amplitude, so the surface flux is k3*s/sqrt(pi
+    alpha3 t); convective exchange k3*s/sqrt(pi alpha3) = h0*(A_inf - T(0))
+    is the law times 1 + k, k = k3/(h0 sqrt(pi alpha3)).
+    """
+    bc, B, a3 = ctx.bc, ctx.temps.B, ctx.alpha3
+    if isinstance(bc, Dirichlet):
+        return 0.0, bc.A - B
+    if isinstance(bc, Neumann):
+        return 1.0, bc.q0 * math.sqrt(math.pi * a3) / ctx.props.k3
+    bc = _datum(ctx, Robin)
+    k = ctx.props.k3 / (bc.h0 * math.sqrt(math.pi * a3))
+    return k / (1.0 + k), (bc.A_inf - B) / (1.0 + k)
+
+
+def law_residual(ctx):
+    """The outer equation of every kind, from the point functions.
+
+    w(m)*(q_func(z) + m exp(m^2 alpha1/alpha2)) - d*n*exp(-m^2 (alpha1/alpha3
+    - alpha1/alpha2)) at m = max(coef2_from_coef1(z), 0), with w(m) = theta
+    + (1 - theta)*erf(m*sigma3) and d*n = _surface_coef(B + n) without the
+    rounding of B + n.
+    """
+    theta, n = law(ctx)
+    p = ctx.props
+    a1, a2, a3 = ctx.alphas
+    drive = n / (p.l2 * _SQRT_PI) * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
+
+    def f(z):
+        m = max(coef2_from_coef1(z, ctx), 0.0)
+        w = 1.0
+        if theta != 1.0:  # an imposed flux's weight needs no erf
+            w = theta + (1.0 - theta) * specfun.erf(m * ctx.sigma3)
+        right = m * _exp_capped(m * m * a1 / a2)
+        return w * (q_func(z, ctx) + right) - drive * math.exp(
+            -m * m * (a1 / a3 - a1 / a2)
+        )
+
+    return f
 
 
 def _datum(ctx, kind):

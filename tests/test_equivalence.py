@@ -221,6 +221,23 @@ def test_corollaries_dirichlet_against_reference(sol_dirichlet):
     assert all(c.holds for c in checks.values())
 
 
+def test_corollary_limit_and_flux_bounds_are_one_number():
+    # sqrt(k3 c3/(k2 c2)) = (k3/k2) sqrt(alpha2/alpha3): the two bounds are
+    # one value, not two roundings of it
+    from stefan3 import solve
+
+    rhs = [
+        {c.name: c.rhs for c in corollary_checks(solve(s["ctx"].with_bc(s[kind])))}
+        for s in make_sets()
+        for kind in ("robin", "dirichlet", "neumann")
+    ]
+    assert len(rhs) == 150
+    assert all(
+        r["inner_front_erf_bound_limit"] == r["inner_front_erf_bound_flux"]
+        for r in rhs
+    )
+
+
 def test_corollaries_default_bulk_and_without_bulk(sol_robin, sol_neumann):
     names = [c.name for c in corollary_checks(sol_robin)]
     assert names[0] == "inner_front_erf_bound"  # bulk read from the condition

@@ -13,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
-    "sweep": "12c3594a8485722cceca069f34ce1ddaafb17a893079c4ed1f9294cdda6ea66f",
-    "field": "d2e8a007802f80888f91d81f0cc4f6b3f3cb30b9b689991b83a1f3c68d165d17",
-    "verify": "7f4af9f4921f37a207c680dbcf70d803ec2717ddf676722794062e2f410921ad",
+    "sweep": "96356d8431cc9121a9e4b1c4dff81d4f6945a42a7f0ecb7a3dcd36fdc69b0541",
+    "field": "d188c533105ebca853cde6e57baf02b8166232899b93b433238b6618037888db",
+    "verify": "0d02a4c0d251e9373bb868e08ac25624c24a3b28cd75167d22e38bb30302c486",
 }
 
 

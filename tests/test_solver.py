@@ -89,6 +89,25 @@ def test_thresholds_match_reference(ctx_robin, ctx_plain):
     assert "h1" not in th.to_dict()
 
 
+def test_convective_thresholds_are_the_flux_thresholds_through_the_law():
+    # h = q/(A_inf - T(0)) at T(0) = C and B equals the paper's closed form
+    from _random_sets import make_sets
+
+    for s in make_sets():
+        ctx, a_inf = s["ctx"], s["robin"].A_inf
+        p, t = ctx.props, ctx.temps
+        th = thresholds(ctx, a_inf)
+        h1 = p.k1 / math.sqrt(math.pi * ctx.alpha1) * (t.C - t.D) / (a_inf - t.C)
+        h2 = (
+            (t.B - t.C)
+            / (a_inf - t.B)
+            * math.sqrt(p.k2 * p.k3 * p.c2 / (math.pi * p.c3 * ctx.alpha3))
+            / specfun.erf(ctx.z0 * ctx.sigma2)
+        )
+        assert th.h1 == pytest.approx(h1, rel=1e-15)
+        assert th.h2 == pytest.approx(h2, rel=1e-15)
+
+
 def test_thresholds_reject_bad_bulk(ctx_plain):
     with pytest.raises(ValidationError):
         thresholds(ctx_plain, a_inf=TEMPS.B)

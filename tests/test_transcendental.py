@@ -269,16 +269,31 @@ def _z_grid(ctx):
     return sorted(zs)
 
 
+def _sign(value):
+    return (value > 0.0) - (value < 0.0)
+
+
 def test_fused_outer_residual_equals_the_point_functions_bit_for_bit():
     import _reference as R
-    from stefan3.transcendental import outer_residual
+    from stefan3.solver import _outer_bracket
+    from stefan3.transcendental import outer_residual, surface_law
 
     for ctx in _kernel_contexts():
-        fused, reference = outer_residual(ctx), R.outer_residual(ctx)
-        values = [(fused(z), reference(z)) for z in _z_grid(ctx)]
-        assert all(a == b for a, b in values), ctx.bc
-        # the grid reaches both signs and the saturated far end
-        assert values[0][1] < 0.0 < values[-1][1]
+        assert surface_law(ctx.bc).read(ctx) == R.law(ctx), ctx.bc
+        fused, law, paper = (
+            outer_residual(ctx), R.law_residual(ctx), R.outer_residual(ctx))
+        values = [(fused(z), law(z), paper(z)) for z in _z_grid(ctx)]
+        assert all(a == b for a, b, _ in values), ctx.bc
+        # the paper's per-kind equation has the same sign everywhere ...
+        assert all(_sign(a) == _sign(c) for a, _, c in values), ctx.bc
+        # ... the grid reaches both signs and the saturated far end ...
+        assert values[0][2] < 0.0 < values[-1][2]
+        # ... and both equations have the same root, each searched down to
+        # float spacing
+        root, want = (
+            find_root_monotone(f, *_outer_bracket(ctx), tol=0.0)
+            for f in (fused, paper))
+        assert abs(root - want) <= 1e-14 * want, ctx.bc
 
 
 def test_fused_h_kernel_equals_h_func_bit_for_bit():
@@ -301,17 +316,11 @@ def test_outer_residual_needs_a_boundary_datum(ctx_plain):
         outer_residual(ctx_plain)
 
 
-# Calls one cold solve of each tests/conftest.py problem made before the
-# residual was fused, when each outer-residual evaluation ran phi twice.
-PARENT_ERFC_INV_CALLS = {"robin": 9, "dirichlet": 11, "neumann": 18}
-PARENT_INV_ERFCX_CALLS = 27 + 31 + 45
-
-
 def test_fused_residual_runs_phi_once_per_evaluation(monkeypatch, searches):
     from conftest import DIRICHLET, NEUMANN, PROPS, ROBIN, TEMPS
     from stefan3 import solve_dirichlet, solve_neumann, solve_robin
 
-    calls = {"erfc_inv": 0, "_inv_erfcx": 0}
+    calls = {"erf": 0, "erfc_inv": 0, "_inv_erfcx": 0}
     for name in calls:
         kernel = getattr(specfun, name)
 
@@ -320,14 +329,21 @@ def test_fused_residual_runs_phi_once_per_evaluation(monkeypatch, searches):
             return _kernel(x)
 
         monkeypatch.setattr(specfun, name, counted)
-    erfc_inv = {}
     for bc, solver in (
         (ROBIN, solve_robin), (DIRICHLET, solve_dirichlet), (NEUMANN, solve_neumann)
     ):
-        before = calls["erfc_inv"]
+        before = dict(calls)
+        del searches[:]
         solver(ProblemContext(PROPS, TEMPS, bc))  # z0 is searched afresh too
-        erfc_inv[bc.kind] = calls["erfc_inv"] - before
-    assert erfc_inv == PARENT_ERFC_INV_CALLS
-    outer = sum(n for kind, n in searches if kind == "outer")
-    assert [kind for kind, _ in searches] == ["z0", "outer"] * 3
-    assert calls["_inv_erfcx"] == PARENT_INV_ERFCX_CALLS - outer
+        (kind0, z0), (kind1, outer) = searches
+        assert (kind0, kind1) == ("z0", "outer")
+        ran = {name: calls[name] - before[name] for name in calls}
+        # one inversion per evaluation, and one for the matched coef2
+        assert ran["erfc_inv"] == outer + 1, bc
+        # phi once per z0 and outer evaluation, and once for coef2
+        assert ran["_inv_erfcx"] == z0 + outer + 1, bc
+        # h runs erf once per z0 evaluation and the thresholds once for
+        # erf(z0*sigma2); the residual runs it once per evaluation, except
+        # for an imposed flux, whose weight is 1
+        assert ran["erf"] == z0 + {
+            "robin": outer + 1, "dirichlet": outer, "neumann": 1}[bc.kind], bc

@@ -134,6 +134,22 @@ def test_perturbation_caught_by_energy_balance_only(sol_robin):
     assert rep.boundary <= BOUNDARY_TOL
 
 
+def test_boundary_check_holds_at_a_large_exchange_coefficient(ctx_robin):
+    # h0 = 1e6*h2 puts T(0) 1.2e-5 K below A_inf: the surface flux
+    # h0*(T(0) - A_inf) cancels there, the law's terms do not
+    from stefan3 import Robin, solve, thresholds
+
+    bc = Robin(h0=1e6 * thresholds(ctx_robin).h2, A_inf=334.0)
+    sol = solve(ctx_robin.with_bc(bc))
+    rep = full_report(sol)
+    assert rep.boundary <= 1e-14
+    assert rep.passes, rep.failures()
+    # a wrong root still satisfies the law it is derived from, and the
+    # energy balance catches it
+    assert full_report(perturbed(sol, 1e-6, 1e-6)).failures() == [
+        "stefan:front1", "stefan:front2"]
+
+
 def test_perturbation_both_coefficients_fails(sol_dirichlet, sol_neumann):
     for sol in (sol_dirichlet, sol_neumann):
         rep = full_report(perturbed(sol, 1e-3, -1e-3))

@@ -136,7 +136,7 @@ def inner_equation(case, z):
 def solve_route_b(case, z0):
     f = lambda z: q_func(case, z) - inner_equation(case, z)
     lo = z0 + mp.mpf('1e-45')
-    hi = max(z0, mp.mpf(1))
+    hi = max(2 * z0, mp.mpf(1))  # above z0, where m = 0 and V has its pole
     while f(hi) < 0:
         hi *= 2
     c1 = bisect(f, lo, hi)
