@@ -13,6 +13,12 @@ records its coefficients on the context).  The target is then solved by
 its own search, which tries a bracket of relative width 2e-9 around the
 source's coef1 first and falls back to the cold bracket, so the
 coefficients' agreement is found, not assumed.
+
+The critical flux q2 carries the phase-3 amplitude s2 =
+q2*sqrt(pi*alpha3)/k3 (the flux law's n at q0 = q2).  The sufficient
+condition for a convective-to-flux mapping reads q2 through the same law:
+the bulk floor is B + s2, the threshold h2* is q2/((A_inf - B) - s2), and
+the corollary bound on erf(coef2*sigma3) is (T(0) - B)/s2.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import specfun
-from .errors import HypothesisError, MissingBoundaryDatum, ValidationError
+from .errors import HypothesisError, MissingBoundaryDatum, RootFailure, ValidationError
 from .model import Dirichlet, Neumann, Robin, Violation, require_bulk
-from .transcendental import ProblemContext, find_root_monotone
+from .transcendental import ProblemContext
 from .solver import ThreePhaseSolution, _of_kind, _solve_outer, solve, thresholds
 
 
@@ -229,19 +235,11 @@ def corollary_checks(
     """
     ctx = sol.ctx
     t = ctx.temps
-    p = ctx.props
     a = sol.surface_temp
     if a_inf is None:
         a_inf = getattr(ctx.bc, "A_inf", None)
     lhs = specfun.erf(sol.coef2 * ctx.sigma3)
-    # sqrt(k3 c3/(k2 c2)) = (k3/k2) sqrt(alpha2/alpha3): the limit and the
-    # flux bound are one number
-    base = (
-        math.sqrt(p.k3 * p.c3 / (p.k2 * p.c2))
-        * (a - t.B)
-        / (t.B - t.C)
-        * ctx._erf_z0
-    )
+    base = (a - t.B) / _critical(ctx)[1]  # one number for both named bounds
     out = [
         CorollaryCheck("inner_front_erf_bound_limit", lhs, "<", base),
         CorollaryCheck("inner_front_erf_bound_flux", lhs, "<", base),
@@ -280,54 +278,45 @@ class AutoSatisfaction:
         return asdict(self)
 
 
-def _h2_star_gap(ctx: ProblemContext, a_inf: float):
-    p, t = ctx.props, ctx.temps
-    num_coef = (
-        p.k3
-        * (a_inf - t.B)
-        * math.sqrt(math.pi * ctx.alpha2)
-        * ctx._erf_z0
-    )
-    den_coef = p.k2 * (t.B - t.C)
-    root_pi_a3 = math.sqrt(math.pi * ctx.alpha3)
+def _critical(ctx: ProblemContext) -> tuple[float, float]:
+    # (q2, s2): the critical flux and the phase-3 amplitude it carries
+    q2 = thresholds(ctx).q2
+    return q2, q2 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
 
-    def gap(h: float) -> float:
-        return num_coef * h / (den_coef * (p.k3 + h * root_pi_a3)) - 1.0
 
-    return gap
+def _h2_star(a_inf: float, b: float, q2: float, s2: float) -> Optional[float]:
+    # None unless a_inf > b + s2 and the gap, b subtracted first for one
+    # rounding in the cancellation, does not round to 0 (only if a_inf > 2b)
+    gap = (a_inf - b) - s2
+    return q2 / gap if a_inf > b + s2 and gap > 0.0 else None
 
 
 def bulk_floor(ctx: ProblemContext) -> float:
-    """Smallest bulk temperature for which h2_star exists."""
-    p, t = ctx.props, ctx.temps
-    return t.B + math.sqrt(ctx.alpha3 / ctx.alpha2) * (p.k2 / p.k3) * (
-        t.B - t.C
-    ) / ctx._erf_z0
+    """Smallest bulk temperature for which h2_star exists: B + s2."""
+    return ctx.temps.B + _critical(ctx)[1]
 
 
 def h2_star(ctx: ProblemContext, a_inf: float) -> float:
     """Auxiliary convective threshold above which the flux bound is automatic.
 
-    Defined as the point where the saturating ratio of the mapped flux to
-    its critical value reaches one; exists only when a_inf exceeds
-    bulk_floor(ctx), otherwise the underlying search reports no sign
-    change.
+    q2/((a_inf - B) - s2), where the saturating ratio of the mapped flux to
+    q2 reaches one.  RootFailure("no_sign_change") unless a_inf exceeds
+    bulk_floor(ctx) by a gap (a_inf - B) - s2 that does not round to zero.
     """
-    return find_root_monotone(_h2_star_gap(ctx, a_inf), 0.0, hi_start=1.0)
+    q2, s2 = _critical(ctx)
+    star = _h2_star(a_inf, ctx.temps.B, q2, s2)
+    if star is None:
+        raise RootFailure("no_sign_change", f"no h2* at A_inf {a_inf!r}: "
+                          f"the bulk floor is {ctx.temps.B + s2!r}")
+    return star
 
 
 def auto_satisfaction(
     ctx: ProblemContext, h0: float, a_inf: float
 ) -> AutoSatisfaction:
     """Decide the sufficient condition for convective-to-flux admissibility."""
-    floor = bulk_floor(ctx)
+    q2, s2 = _critical(ctx)
     h2 = thresholds(ctx, a_inf).h2
-    if a_inf <= floor:
-        return AutoSatisfaction(bulk_floor=floor, h2=h2, h2_star=None, holds=False)
-    star = h2_star(ctx, a_inf)
-    return AutoSatisfaction(
-        bulk_floor=floor,
-        h2=h2,
-        h2_star=star,
-        holds=h0 > max(h2, star),
-    )
+    star = _h2_star(a_inf, ctx.temps.B, q2, s2)
+    holds = star is not None and h0 > max(h2, star)
+    return AutoSatisfaction(ctx.temps.B + s2, h2, star, holds)

@@ -170,30 +170,20 @@ class ThreePhaseSolution:
     def flux_coef(self) -> float:
         return self._surface[2]
 
-    @property
-    def _slope3(self) -> float:
-        # phase-3 profile amplitude: temperature drops by _slope3 * erf(eta3)
-        return self._surface[0]
-
-    @_cached
-    def _span2(self) -> float:
-        c = self.ctx
-        return specfun.erf(self.coef1 * c.sigma2) - specfun.erf(
-            self.coef2 * c.sigma2
-        )
-
     @_cached
     def _excess_constants(self) -> tuple[float, ...]:
         # every per-solution constant of the three excess formulas, in the
-        # order _phase_excess unpacks them
-        t_ = self.ctx.temps
+        # order _phase_excess unpacks them; the span reuses erf(coef1*sigma2)
+        c = self.ctx
+        t_ = c.temps
+        at_front1 = specfun.erf(self.coef1 * c.sigma2)
         return (
             self.surface_temp - t_.D,
-            self._slope3,
+            self._surface[0],
             t_.C - t_.D,
             t_.B - t_.C,
-            specfun.erf(self.coef1 * self.ctx.sigma2),
-            self._span2,
+            at_front1,
+            at_front1 - specfun.erf(self.coef2 * c.sigma2),
             specfun.erfc(self.coef1),
         )
 

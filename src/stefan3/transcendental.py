@@ -160,8 +160,8 @@ class ProblemContext:
 
     @_cached
     def _erf_z0(self) -> float:
-        # the phase-2 profile at z0, a factor of the upper thresholds and of
-        # the corollary bounds
+        # the phase-2 profile at z0, a factor of the critical flux q2 only;
+        # everything else that depends on it reads q2
         return specfun.erf(self.z0 * self.sigma2)
 
     # The solved (coef1, coef2), recorded on the instance by the solver;

@@ -192,23 +192,22 @@ def interface_residual(
 
 def _gradients_at(sol: ThreePhaseSolution, t: float) -> tuple:
     """Analytic one-sided gradients: phase 1 and 2 at x1, phase 2 and 3 at x2."""
-    c = sol.ctx
-    t_ = c.temps
-    a1, a2, a3 = c.alphas
+    a1, a2, a3 = sol.ctx.alphas
     x2, x1 = free_boundaries(sol, t)
     e1 = x1 / (2.0 * math.sqrt(a1 * t))
     e2_at_1 = x1 / (2.0 * math.sqrt(a2 * t))
     e2_at_2 = x2 / (2.0 * math.sqrt(a2 * t))
     e3 = x2 / (2.0 * math.sqrt(a3 * t))
-    num, den = math.exp(-e1 * e1), math.erfc(sol.coef1)
+    _, slope3, solid, rise, _, span2, den = sol._excess_constants
+    num = math.exp(-e1 * e1)
     if not den:  # erfc(coef1) underflowed: scale both by exp(coef1^2)
         k = sol.coef1
         num, den = math.exp((k - e1) * (k + e1)), 1.0 / _inv_erfcx(k)
-    g1 = -(t_.C - t_.D) * num / (math.sqrt(math.pi * a1 * t) * den)
-    slope2 = -(t_.B - t_.C) / (math.sqrt(math.pi * a2 * t) * sol._span2)
+    g1 = -solid * num / (math.sqrt(math.pi * a1 * t) * den)
+    slope2 = -rise / (math.sqrt(math.pi * a2 * t) * span2)
     g2_at_1 = slope2 * math.exp(-e2_at_1 * e2_at_1)
     g2_at_2 = slope2 * math.exp(-e2_at_2 * e2_at_2)
-    g3 = -sol._slope3 * math.exp(-e3 * e3) / math.sqrt(math.pi * a3 * t)
+    g3 = -slope3 * math.exp(-e3 * e3) / math.sqrt(math.pi * a3 * t)
     return g1, g2_at_1, g2_at_2, g3
 
 

@@ -6,6 +6,8 @@ of every kind as (theta, n) read off its datum (``law``) and the
 outer equation it gives (``law_residual``).  The package evaluates them
 fused, in ``transcendental._h_kernel`` and ``transcendental.outer_residual``,
 and the tests assert that the fused kernels equal them bit for bit.
+``h2_star_gap`` is the paper's saturating ratio whose zero is h2*, which
+``equivalence.h2_star`` reads in closed form.
 
 The paper writes each kind's equation with its own right-hand side:
 ``t_func`` (convective, composed with the inner match as ``u_func``),
@@ -111,6 +113,22 @@ def law_residual(ctx):
         )
 
     return f
+
+
+def h2_star_gap(ctx, a_inf):
+    """The paper's saturating ratio of the mapped flux to q2, minus one.
+
+    A function of the convective coefficient h, increasing from -1 at h = 0
+    towards a limit that is positive only above the bulk floor; its zero is
+    the auxiliary threshold h2*.
+    """
+    p, t = ctx.props, ctx.temps
+    num_coef = (
+        p.k3 * (a_inf - t.B) * math.sqrt(math.pi * ctx.alpha2) * ctx._erf_z0
+    )
+    den_coef = p.k2 * (t.B - t.C)
+    root_pi_a3 = math.sqrt(math.pi * ctx.alpha3)
+    return lambda h: num_coef * h / (den_coef * (p.k3 + h * root_pi_a3)) - 1.0
 
 
 def _datum(ctx, kind):
@@ -245,11 +263,13 @@ def temperature_excess(sol, x, t):
     t_ = c.temps
     if phase == 3:
         eta = x / (2.0 * math.sqrt(c.alpha3 * t))
-        return (sol.surface_temp - t_.D) - sol._slope3 * specfun.erf(eta)
+        return (sol.surface_temp - t_.D) - sol._surface[0] * specfun.erf(eta)
     if phase == 2:
         eta = x / (2.0 * math.sqrt(c.alpha2 * t))
-        top = specfun.erf(sol.coef1 * c.sigma2) - specfun.erf(eta)
-        return (t_.C - t_.D) + (t_.B - t_.C) * top / sol._span2
+        at_front1 = specfun.erf(sol.coef1 * c.sigma2)
+        span2 = at_front1 - specfun.erf(sol.coef2 * c.sigma2)
+        top = at_front1 - specfun.erf(eta)
+        return (t_.C - t_.D) + (t_.B - t_.C) * top / span2
     eta = x / (2.0 * math.sqrt(c.alpha1 * t))
     return (t_.C - t_.D) * specfun.erfc(eta) / specfun.erfc(sol.coef1)
 

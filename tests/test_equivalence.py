@@ -1,7 +1,9 @@
 """Mappings between boundary-condition kinds and their consequence checks."""
 
+import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from stefan3 import (
@@ -27,9 +29,11 @@ from stefan3 import (
     solve_robin,
     thresholds,
 )
-from stefan3.equivalence import HypothesisCheck, _checked
+from stefan3.equivalence import HypothesisCheck, _checked, _critical
+from stefan3.transcendental import surface_law
 from conftest import PROPS, TEMPS
-from _random_sets import make_sets
+from _random_sets import make_sets, wide_sets
+from _reference import h2_star_gap
 import _expected as E
 
 DELTA_TOL = 1e-11  # round-trip front coefficients; far below the 1e-9 contract
@@ -271,7 +275,7 @@ def test_corollary_serialization(sol_neumann):
 
 def test_bulk_floor_and_auxiliary_threshold(ctx_plain):
     assert bulk_floor(ctx_plain) == pytest.approx(E.A_INF_FLOOR_AUTO, rel=1e-12)
-    assert h2_star(ctx_plain, 360.0) == pytest.approx(E.H2_STAR_360, rel=1e-10)
+    assert h2_star(ctx_plain, 360.0) == pytest.approx(E.H2_STAR_360, rel=1e-14)
     assert thresholds(ctx_plain, 360.0).h2 == pytest.approx(E.H2_AT_360, rel=1e-12)
 
 
@@ -282,11 +286,106 @@ def test_auxiliary_threshold_needs_high_bulk(ctx_plain):
     assert exc.value.reason == "no_sign_change"
 
 
+def test_auxiliary_threshold_exists_only_above_the_floor(ctx_plain):
+    # at the floor itself the closed form's denominator is one rounding of
+    # zero; h2_star and auto_satisfaction agree that h2* does not exist
+    floor = bulk_floor(ctx_plain)
+    assert floor == 353.22194281741866
+    for a_inf in (math.nextafter(floor, -math.inf), floor):
+        with pytest.raises(RootFailure) as exc:
+            h2_star(ctx_plain, a_inf)
+        assert exc.value.reason == "no_sign_change"
+        assert auto_satisfaction(ctx_plain, 1e20, a_inf).h2_star is None
+    above = math.nextafter(floor, math.inf)
+    star = h2_star(ctx_plain, above)
+    assert math.isfinite(star) and star > 0.0
+    assert auto_satisfaction(ctx_plain, 1e20, above).h2_star == star
+
+
+def test_auxiliary_threshold_where_its_gap_rounds_to_zero():
+    # s2 > B here, so one ulp above the floor A_inf - B is inexact and
+    # (A_inf - B) - s2 rounds to 0: h2* is treated as at the floor, not
+    # divided by zero
+    props = dataclasses.replace(PROPS, k3=0.00028824)
+    ctx = ProblemContext(props, dataclasses.replace(TEMPS, B=327.5655288592398))
+    q2, s2 = _critical(ctx)
+    above = math.nextafter(bulk_floor(ctx), math.inf)
+    assert s2 > ctx.temps.B and (above - ctx.temps.B) - s2 == 0.0
+    with pytest.raises(RootFailure) as exc:
+        h2_star(ctx, above)
+    assert exc.value.reason == "no_sign_change"
+    assert auto_satisfaction(ctx, 1e20, above).h2_star is None
+    star = h2_star(ctx, math.nextafter(above, math.inf))
+    assert math.isfinite(star) and star > 0.0
+
+
+def _critical_mp(ctx):
+    # (q2, s2) at 60 digits from the float inputs and the float z0
+    p, t = ctx.props, ctx.temps
+    a1, a2, a3 = (mpmath.mpf(k) / (mpmath.mpf(p.rho) * c)
+                  for k, c in ((p.k1, p.c1), (p.k2, p.c2), (p.k3, p.c3)))
+    erf_z0 = mpmath.erf(ctx.z0 * mpmath.sqrt(a1 / a2))
+    q2 = p.k2 * (mpmath.mpf(t.B) - t.C) / (mpmath.sqrt(mpmath.pi * a2) * erf_z0)
+    return q2, q2 * mpmath.sqrt(mpmath.pi * a3) / p.k3
+
+
+def test_auxiliary_threshold_matches_60_digits():
+    # the closed form's error is the cancellation (A_inf - B) - s2 amplifies:
+    # bound it at 2 eps per unit of A_inf/(A_inf - floor)
+    eps = 2.0**-52
+    ctxs = [s["ctx"] for s in make_sets(50) + wide_sets(40)]
+    with mpmath.workdps(60):
+        for ctx in ctxs:
+            floor = bulk_floor(ctx)
+            q2, s2 = _critical_mp(ctx)
+            for a_inf in (floor + 0.5, floor + 5.0, floor + 100.0):
+                star = h2_star(ctx, a_inf)
+                exact = q2 / ((mpmath.mpf(a_inf) - ctx.temps.B) - s2)
+                rel = float(abs(star - exact) / exact)
+                assert rel <= 2.0 * eps * a_inf / (a_inf - floor)
+                # and the paper's saturating ratio reaches one there
+                assert abs(h2_star_gap(ctx, a_inf)(star)) <= 1e-13
+
+
+def test_the_critical_amplitude_is_the_flux_law_at_q2():
+    for ctx in [ProblemContext(PROPS, TEMPS)] + [s["ctx"] for s in make_sets()]:
+        q2, s2 = _critical(ctx)
+        assert q2 == thresholds(ctx).q2
+        flux = ctx.with_bc(Neumann(q2))
+        assert s2 == surface_law(flux.bc).read(flux)[1]
+        assert bulk_floor(ctx) == ctx.temps.B + s2
+
+
+def test_corollary_bounds_match_60_digits():
+    from stefan3 import solve
+
+    worst, n = 0.0, 0
+    with mpmath.workdps(60):
+        for s in make_sets():
+            _, s2 = _critical_mp(s["ctx"])
+            for kind in ("robin", "dirichlet", "neumann"):
+                sol = solve(s["ctx"].with_bc(s[kind]))
+                a, b = mpmath.mpf(sol.surface_temp), s["ctx"].temps.B
+                base = (a - b) / s2
+                for c in corollary_checks(sol):
+                    if c.name == "inner_front_erf_bound":
+                        a_inf = sol.ctx.bc.A_inf
+                        exact = base * (a_inf - b) / (a_inf - a)
+                    elif c.name.startswith("inner_front_erf_bound_"):
+                        exact = base
+                    else:
+                        continue
+                    worst = max(worst, float(abs(c.rhs - exact) / exact))
+                n += 1
+    assert n == 150
+    assert worst <= 1e-15
+
+
 def test_auto_satisfaction_guarantee(ctx_plain):
     summary = auto_satisfaction(ctx_plain, h0=50.0, a_inf=360.0)
     assert summary.holds
     assert summary.bulk_floor == pytest.approx(E.A_INF_FLOOR_AUTO, rel=1e-12)
-    assert summary.h2_star == pytest.approx(E.H2_STAR_360, rel=1e-10)
+    assert summary.h2_star == pytest.approx(E.H2_STAR_360, rel=1e-14)
     assert 50.0 > max(summary.h2, summary.h2_star)
     # and the promise is kept: the mapped flux clears its own threshold
     ctx = ProblemContext(PROPS, TEMPS, Robin(h0=50.0, A_inf=360.0))
