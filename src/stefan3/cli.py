@@ -7,7 +7,8 @@ import ``logging``).  A warning prints as one line, ``Category: message``.
 
 Exit codes:
     0  success
-    1  invalid input (config schema, physical invariants, usage, verify step)
+    1  invalid input (config schema, physical invariants, usage, verify step
+       or perturbation)
     2  boundary datum outside the three-phase regime
     3  root search failure
     4  a mapping hypothesis inequality failed
@@ -216,6 +217,15 @@ def cmd_verify(args) -> int:
     if args.perturb is not None:
         log.info("perturbing both coefficients by %r", args.perturb)
         sol = perturbed(sol, args.perturb, args.perturb)
+        # the phase-2 profile divides by erf(coef1*sigma2) - erf(coef2*sigma2)
+        if not (0.0 < sol.coef2 and sol.coef1 < math.inf
+                and sol._excess_constants[5] > 0.0):
+            raise ValidationError([Violation(
+                "BAD_PERTURB",
+                f"perturb {args.perturb!r} gives the front coefficients "
+                f"{sol.coef1!r} and {sol.coef2!r}, which are not finite and "
+                "positive or leave phase 2 no span",
+            )])
     rep = _cli.full_report(sol, rel_step=args.rel_step)
     _emit(rep.to_dict())
     if not rep.passes:

@@ -17,6 +17,11 @@ Five independent checks, each reported as a dimensionless residual:
 * boundary: the surface condition the solution claims to satisfy.
 * far_field: decay to the initial temperature far beyond the outer front.
 
+Every check runs once, at t = 1.  Each phase's temperature is an affine
+image of erf or erfc of its similarity variable x/(2*sqrt(alpha_i*t)), and
+both fronts sit at fixed values of it, so every residual here is a
+function of that variable alone: another time samples the same values.
+
 Each check's pinned tolerance is in ``TOLERANCES``.  Residual magnitudes
 at the default settings are limited by rounding, not truncation; the
 refinement ladder behavior (order 2 in rel_step) appears for rel_step
@@ -50,7 +55,6 @@ STEFAN_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 FAR_FIELD_TOL = 1e-8
 
-DEFAULT_TIMES = (0.1, 1.0, 10.0)
 DEFAULT_X_FACTOR = 30.0
 
 _EPS = sys.float_info.epsilon
@@ -118,161 +122,141 @@ def _stencil_row(
 
 
 def heat_residual(
-    sol: ThreePhaseSolution,
-    rel_step: float = 1e-4,
-    n_points: int = 100,
-    times: tuple = DEFAULT_TIMES,
+    sol: ThreePhaseSolution, rel_step: float = 1e-4, n_points: int = 100
 ) -> dict[str, float]:
-    """Max relative diffusion-equation residual per phase.
+    """Max relative diffusion-equation residual per phase, at t = 1.
 
     Five-point stencil: central second difference in x with step
     rel_step * 2*sqrt(alpha_i*t), central first difference in t with step
     rel_step * t.  Sample points are geometrically spaced inside each
     phase.  The profile is evaluated one row per stencil offset: for each
-    time and phase, the samples x, x - h and x + h at t, then x at t - h_t
-    and at t + h_t.
+    phase, the samples x, x - h and x + h at t, then x at t - h_t and at
+    t + h_t.
 
     Raises:
+        ValueError: n_points < 1, which would leave nothing to check.
         StencilCrossesFront: A stencil evaluation landed in a different
             phase, or rel_step is too coarse for a phase to hold a stencil.
         ValidationError: BAD_REL_STEP, when a step's square is not a normal
             float or a step is too fine to keep a stencil off a front.
     """
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+    h_t = rel_step  # rel_step * t at t = 1
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
-    for t in times:
-        windows = _phase_windows(sol, t, rel_step)
-        h_t = rel_step * t
-        floor = _EPS / t
-        for phase, (lo, hi, h) in windows.items():
-            alpha = sol.ctx.alphas[phase - 1]
-            ratio, last = hi / lo, max(n_points - 1, 1)
-            xs = [lo * ratio ** (j / last) for j in range(n_points)]
-            w0s = _stencil_row(sol, phase, xs, t)
-            wms = _stencil_row(sol, phase, [x - h for x in xs], t)
-            wps = _stencil_row(sol, phase, [x + h for x in xs], t)
-            wtms = _stencil_row(sol, phase, xs, t - h_t)
-            wtps = _stencil_row(sol, phase, xs, t + h_t)
-            hh, two_h_t = h * h, 2.0 * h_t
-            # |d_t - alpha*d_xx| / max(|d_t|, |alpha*d_xx|, floor) at every
-            # point, folded into the running worst as max() would fold it
-            worst[phase] = max(chain((worst[phase],), (
-                abs(d_t - a_xx) / (floor if floor > big else big)
-                for w0, wm, wp, wtm, wtp in zip(w0s, wms, wps, wtms, wtps)
-                for a_xx in (alpha * ((wp - 2.0 * w0 + wm) / hh),)
-                for d_t in ((wtp - wtm) / two_h_t,)
-                for big in (abs(a_xx) if abs(a_xx) > abs(d_t) else abs(d_t),)
-            )))
+    for phase, (lo, hi, h) in _phase_windows(sol, 1.0, rel_step).items():
+        alpha = sol.ctx.alphas[phase - 1]
+        ratio, last = hi / lo, max(n_points - 1, 1)
+        xs = [lo * ratio ** (j / last) for j in range(n_points)]
+        w0s = _stencil_row(sol, phase, xs, 1.0)
+        wms = _stencil_row(sol, phase, [x - h for x in xs], 1.0)
+        wps = _stencil_row(sol, phase, [x + h for x in xs], 1.0)
+        wtms = _stencil_row(sol, phase, xs, 1.0 - h_t)
+        wtps = _stencil_row(sol, phase, xs, 1.0 + h_t)
+        hh, two_h_t = h * h, 2.0 * h_t
+        # |d_t - alpha*d_xx| / max(|d_t|, |alpha*d_xx|, eps/t) at every
+        # point, folded into a running max() that starts at 0
+        worst[phase] = max(chain((0.0,), (
+            abs(d_t - a_xx) / (_EPS if _EPS > big else big)
+            for w0, wm, wp, wtm, wtp in zip(w0s, wms, wps, wtms, wtps)
+            for a_xx in (alpha * ((wp - 2.0 * w0 + wm) / hh),)
+            for d_t in ((wtp - wtm) / two_h_t,)
+            for big in (abs(a_xx) if abs(a_xx) > abs(d_t) else abs(d_t),)
+        )))
     return {f"phase{k}": v for k, v in worst.items()}
 
 
-def interface_residual(
-    sol: ThreePhaseSolution, times: tuple = DEFAULT_TIMES
-) -> dict[str, float]:
+def interface_residual(sol: ThreePhaseSolution) -> dict[str, float]:
     """Temperature mismatch at the fronts, relative to the full span B - D.
 
-    Each front is probed with the closed forms of both adjacent phases.
+    Each front is probed at t = 1 with the closed forms of both adjacent
+    phases.
     """
     t_ = sol.ctx.temps
     span = t_.B - t_.D
-    worst = dict.fromkeys(
-        ("front2_liquid", "front2_middle", "front1_middle", "front1_solid"), 0.0)
-    for t in times:
-        x2, x1 = free_boundaries(sol, t)
-        checks = (
-            ("front2_liquid", 3, x2, t_.B),
-            ("front2_middle", 2, x2, t_.B),
-            ("front1_middle", 2, x1, t_.C),
-            ("front1_solid", 1, x1, t_.C),
-        )
-        for key, phase, x, target in checks:
-            value = t_.D + _phase_excess(sol, phase, t, (x,))[0]
-            worst[key] = max(worst[key], abs(value - target) / span)
-    return worst
+    x2, x1 = free_boundaries(sol, 1.0)
+    checks = (
+        ("front2_liquid", 3, x2, t_.B),
+        ("front2_middle", 2, x2, t_.B),
+        ("front1_middle", 2, x1, t_.C),
+        ("front1_solid", 1, x1, t_.C),
+    )
+    return {
+        key: abs(t_.D + _phase_excess(sol, phase, 1.0, (x,))[0] - target) / span
+        for key, phase, x, target in checks
+    }
 
 
-def _gradients_at(sol: ThreePhaseSolution, t: float) -> tuple:
-    """Analytic one-sided gradients: phase 1 and 2 at x1, phase 2 and 3 at x2."""
+def _gradients_at(sol: ThreePhaseSolution) -> tuple:
+    """Analytic one-sided gradients at t = 1: phases 1, 2 at x1; 2, 3 at x2."""
     a1, a2, a3 = sol.ctx.alphas
-    x2, x1 = free_boundaries(sol, t)
-    e1 = x1 / (2.0 * math.sqrt(a1 * t))
-    e2_at_1 = x1 / (2.0 * math.sqrt(a2 * t))
-    e2_at_2 = x2 / (2.0 * math.sqrt(a2 * t))
-    e3 = x2 / (2.0 * math.sqrt(a3 * t))
+    x2, x1 = free_boundaries(sol, 1.0)
+    e1 = x1 / (2.0 * math.sqrt(a1))
+    e2_at_1 = x1 / (2.0 * math.sqrt(a2))
+    e2_at_2 = x2 / (2.0 * math.sqrt(a2))
+    e3 = x2 / (2.0 * math.sqrt(a3))
     _, slope3, solid, rise, _, span2, den = sol._excess_constants
     num = math.exp(-e1 * e1)
     if not den:  # erfc(coef1) underflowed: scale both by exp(coef1^2)
         k = sol.coef1
         num, den = math.exp((k - e1) * (k + e1)), 1.0 / _inv_erfcx(k)
-    g1 = -solid * num / (math.sqrt(math.pi * a1 * t) * den)
-    slope2 = -rise / (math.sqrt(math.pi * a2 * t) * span2)
+    g1 = -solid * num / (math.sqrt(math.pi * a1) * den)
+    slope2 = -rise / (math.sqrt(math.pi * a2) * span2)
     g2_at_1 = slope2 * math.exp(-e2_at_1 * e2_at_1)
     g2_at_2 = slope2 * math.exp(-e2_at_2 * e2_at_2)
-    g3 = -slope3 * math.exp(-e3 * e3) / math.sqrt(math.pi * a3 * t)
+    g3 = -slope3 * math.exp(-e3 * e3) / math.sqrt(math.pi * a3)
     return g1, g2_at_1, g2_at_2, g3
 
 
-def stefan_residual(
-    sol: ThreePhaseSolution, times: tuple = DEFAULT_TIMES
-) -> dict[str, float]:
-    """Relative energy-balance residual at each front.
+def stefan_residual(sol: ThreePhaseSolution) -> dict[str, float]:
+    """Relative energy-balance residual at each front, at t = 1.
 
     The balance equates the jump in conductive flux across a front to the
     latent heat absorbed by its motion; all terms scale as 1/sqrt(t), so
     the relative residual is time-independent.
     """
-    c = sol.ctx
-    p = c.props
-    worst = {"front1": 0.0, "front2": 0.0}
-    for t in times:
-        g1, g2_at_1, g2_at_2, g3 = _gradients_at(sol, t)
-        rate = math.sqrt(c.alpha1 / t)  # front speed divided by coefficient
-        lhs1 = p.k1 * g1 - p.k2 * g2_at_1
-        rhs1 = p.rho * p.l1 * sol.coef1 * rate
-        lhs2 = p.k2 * g2_at_2 - p.k3 * g3
-        rhs2 = p.rho * p.l2 * sol.coef2 * rate
-        for key, lhs, rhs in (("front1", lhs1, rhs1), ("front2", lhs2, rhs2)):
-            worst[key] = max(worst[key], abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    return worst
+    p = sol.ctx.props
+    g1, g2_at_1, g2_at_2, g3 = _gradients_at(sol)
+    rate = math.sqrt(sol.ctx.alpha1)  # front speed divided by coefficient
+    balances = (
+        ("front1", p.k1 * g1 - p.k2 * g2_at_1, p.rho * p.l1 * sol.coef1 * rate),
+        ("front2", p.k2 * g2_at_2 - p.k3 * g3, p.rho * p.l2 * sol.coef2 * rate),
+    )
+    return {
+        key: abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        for key, lhs, rhs in balances
+    }
 
 
-def boundary_residual(
-    sol: ThreePhaseSolution, times: tuple = DEFAULT_TIMES
-) -> float:
+def boundary_residual(sol: ThreePhaseSolution) -> float:
     """Relative residual of the surface condition the solution claims.
 
     Every kind's condition is the law theta*s + (1 - theta)*(T(0) - B) = n
     of transcendental.SurfaceLaw, here on the solution's surface temperature
     and the phase-3 amplitude s its flux coefficient implies.  The residual
     is the law's exact sum divided by its largest term.  Both sides of the
-    condition decay alike in time, so one value holds at every time in
-    times; with no time there is nothing to check and the residual is 0.
+    condition decay alike in time, so the residual holds at every time.
     """
     c = sol.ctx
     theta, n = surface_law(c.bc).read(c)
     s = sol.flux_coef * math.sqrt(math.pi * c.alpha3) / c.props.k3
     terms = (theta * s, (1.0 - theta) * (sol.surface_temp - c.temps.B), -n)
-    return abs(math.fsum(terms)) / max(map(abs, terms)) if times else 0.0
+    return abs(math.fsum(terms)) / max(map(abs, terms))
 
 
 def far_field_residual(
-    sol: ThreePhaseSolution,
-    times: tuple = DEFAULT_TIMES,
-    x_factor: float = DEFAULT_X_FACTOR,
+    sol: ThreePhaseSolution, x_factor: float = DEFAULT_X_FACTOR
 ) -> float:
     """Deviation from the initial temperature at x_factor times the outer front.
 
-    Relative to the solid-phase amplitude C - D.  x_factor must be finite
-    and at least 10 to land meaningfully beyond the front.
+    Probed at t = 1, relative to the solid-phase amplitude C - D.  x_factor
+    must be finite and at least 10 to land meaningfully beyond the front.
     """
     if not 10.0 <= x_factor < math.inf:
         raise ValueError("x_factor must be finite and >= 10")
     t_ = sol.ctx.temps
-    worst = 0.0
-    for t in times:
-        _, x1 = free_boundaries(sol, t)
-        dev = abs(_phase_excess(sol, 1, t, (x_factor * x1,))[0]) / (t_.C - t_.D)
-        worst = max(worst, dev)
-    return worst
+    _, x1 = free_boundaries(sol, 1.0)
+    return abs(_phase_excess(sol, 1, 1.0, (x_factor * x1,))[0]) / (t_.C - t_.D)
 
 
 # the pinned tolerance of each check, in report order
@@ -326,14 +310,13 @@ def full_report(
     sol: ThreePhaseSolution,
     rel_step: float = 1e-4,
     n_points: int = 100,
-    times: tuple = DEFAULT_TIMES,
     x_factor: float = DEFAULT_X_FACTOR,
 ) -> ResidualReport:
     """Run every check and collect the residuals."""
     return ResidualReport(
-        heat=heat_residual(sol, rel_step=rel_step, n_points=n_points, times=times),
-        interface=interface_residual(sol, times=times),
-        stefan=stefan_residual(sol, times=times),
-        boundary=boundary_residual(sol, times=times),
-        far_field=far_field_residual(sol, times=times, x_factor=x_factor),
+        heat=heat_residual(sol, rel_step=rel_step, n_points=n_points),
+        interface=interface_residual(sol),
+        stefan=stefan_residual(sol),
+        boundary=boundary_residual(sol),
+        far_field=far_field_residual(sol, x_factor=x_factor),
     )

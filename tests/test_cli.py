@@ -248,6 +248,20 @@ def test_verify_rejects_a_bad_rel_step(capsys, robin_config, rel_step):
     assert err == "invalid input: BAD_REL_STEP: need a finite rel-step > 0\n"
 
 
+@pytest.mark.parametrize("perturb", ["nan", "-1", "1e308"])
+def test_verify_rejects_a_perturbation_that_breaks_the_fronts(
+    capsys, robin_config, perturb
+):
+    # NaN coefficients, zero ones, and ones so large that phase 2's span
+    # erf(coef1*sigma2) - erf(coef2*sigma2) rounds to 0
+    code, out, err = run_cli(
+        capsys, ["verify", "--config", robin_config, f"--perturb={perturb}"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: BAD_PERTURB: ")
+    assert err.count("\n") == 1
+
+
 # a square that underflows (1e-160, 1e-200), or a step below float
 # resolution at the phase-2 front, which rounds its stencil onto it
 @pytest.mark.parametrize("rel_step", ["1e-200", "1e-160", "1e-150", "1e-20", "1e-16"])

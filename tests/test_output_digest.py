@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = {
     "sweep": "96356d8431cc9121a9e4b1c4dff81d4f6945a42a7f0ecb7a3dcd36fdc69b0541",
     "field": "d188c533105ebca853cde6e57baf02b8166232899b93b433238b6618037888db",
-    "verify": "0d02a4c0d251e9373bb868e08ac25624c24a3b28cd75167d22e38bb30302c486",
+    "verify": "f3b1a497d5701a66e9d24cc87bc1c4a17ee45e912bf117dc2a62a86ad619b303",
 }
 
 

@@ -10,17 +10,16 @@ from stefan3 import (
     ResidualReport,
     StencilCrossesFront,
     ValidationError,
-    boundary_residual,
     far_field_residual,
     full_report,
     heat_residual,
     interface_residual,
     perturbed,
+    solve,
     stefan_residual,
 )
 from stefan3.verify import (
     BOUNDARY_TOL,
-    DEFAULT_TIMES,
     FAR_FIELD_TOL,
     HEAT_TOL,
     INTERFACE_TOL,
@@ -28,6 +27,8 @@ from stefan3.verify import (
     _phase_windows,
 )
 import _expected as E
+import _reference as ref
+from _random_sets import wide_sets
 
 
 def test_benchmark_solutions_pass_everywhere(sol_robin, sol_dirichlet, sol_neumann):
@@ -40,7 +41,6 @@ def test_benchmark_solutions_pass_everywhere(sol_robin, sol_dirichlet, sol_neuma
         assert all(v <= STEFAN_TOL for v in rep.stefan.values())
         assert rep.boundary <= BOUNDARY_TOL
         assert rep.far_field <= FAR_FIELD_TOL
-        assert boundary_residual(sol, times=()) == 0.0
 
 
 def test_heat_residual_well_below_tolerance(sol_robin):
@@ -52,7 +52,7 @@ def test_heat_residual_well_below_tolerance(sol_robin):
 def test_heat_residual_second_order_ladder(sol_robin):
     # where truncation dominates, halving the step divides the residual by 4
     maxima = [
-        max(heat_residual(sol_robin, rel_step=rs, times=(1.0,)).values())
+        max(heat_residual(sol_robin, rel_step=rs).values())
         for rs in (4e-3, 2e-3, 1e-3)
     ]
     for coarse, fine in zip(maxima, maxima[1:]):
@@ -60,7 +60,7 @@ def test_heat_residual_second_order_ladder(sol_robin):
 
 
 def test_heat_residual_single_point_smoke(sol_neumann):
-    res = heat_residual(sol_neumann, n_points=1, times=(1.0,))
+    res = heat_residual(sol_neumann, n_points=1)
     assert max(res.values()) < HEAT_TOL
 
 
@@ -76,11 +76,15 @@ def test_interface_exact_by_construction(sol_dirichlet):
 
 
 def test_stefan_residual_time_independent(sol_robin):
-    a = stefan_residual(sol_robin, times=(0.5,))
-    b = stefan_residual(sol_robin, times=(50.0,))
-    assert set(a) == {"front1", "front2"}
-    for key in a:
-        assert a[key] == pytest.approx(b[key], abs=1e-12)
+    # the balance at t = 1 is the balance at any other time, for a solution
+    # and for a wrong one whose residual sits far above rounding
+    for sol in (sol_robin, perturbed(sol_robin, 1e-6, 1e-6)):
+        got = stefan_residual(sol)
+        assert set(got) == {"front1", "front2"}
+        for t in (0.5, 50.0):
+            want = ref.stefan_residual(sol, t)
+            for key in got:
+                assert got[key] == pytest.approx(want[key], abs=1e-12)
 
 
 def test_far_field_matches_reference_and_decays(sol_robin, sol_dirichlet, sol_neumann):
@@ -230,32 +234,60 @@ def test_failures_name_each_offender():
     assert rep.failures() == ["stefan:front1", "boundary"]
 
 
-@pytest.mark.parametrize(
-    "rel_step, times",
-    # the default step, and the second-order ladder at its own time
-    [(1e-4, DEFAULT_TIMES), (4e-3, (1.0,)), (2e-3, (1.0,)), (1e-3, (1.0,))],
-)
+# the default step, and the second-order ladder
+@pytest.mark.parametrize("rel_step", [1e-4, 4e-3, 2e-3, 1e-3])
 def test_heat_residual_equals_the_point_by_point_loop(
-    rel_step, times, sol_robin, sol_dirichlet, sol_neumann
+    rel_step, sol_robin, sol_dirichlet, sol_neumann
 ):
-    import _reference as ref
-
     for sol in (sol_robin, sol_dirichlet, sol_neumann):
         try:
-            want = ref.heat_residual(sol, rel_step, times=times)
+            want = ref.heat_residual(sol, rel_step)
         except StencilCrossesFront as exc:
             # the coarse steps leave the thinner phase 3 no room
             with pytest.raises(StencilCrossesFront, match=re.escape(str(exc))):
-                heat_residual(sol, rel_step, times=times)
+                heat_residual(sol, rel_step)
             assert sol is not sol_robin
         else:
-            assert heat_residual(sol, rel_step, times=times) == want
-    # no points leave every phase at 0; one point skips the geometric
-    # spacing; two is the shortest spacing
-    for n in (0, 1, 2):
+            assert heat_residual(sol, rel_step) == want
+    # one point skips the geometric spacing; two is the shortest spacing
+    for n in (1, 2):
         assert heat_residual(sol_robin, n_points=n) == ref.heat_residual(
             sol_robin, n_points=n
         )
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_heat_check_without_samples_is_rejected(sol_robin, n_points):
+    # no sample would leave every phase at 0, a pass that checked nothing
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        heat_residual(sol_robin, n_points=n_points)
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        full_report(sol_robin, n_points=n_points)
+
+
+def _failing_phases(check, sol):
+    try:
+        return sorted(k for k, v in check(sol).items() if v > HEAT_TOL)
+    except (StencilCrossesFront, ValidationError) as exc:
+        return type(exc)
+
+
+def test_one_time_measures_what_three_did(sol_robin, sol_dirichlet, sol_neumann):
+    # every stencil scales with sqrt(t), so t = 0.1, 1 and 10 sample the
+    # same similarity values: the one time gives the three times' verdicts
+    sols = [sol_robin, sol_dirichlet, sol_neumann] + [
+        solve(s["ctx"].with_bc(s[kind]))
+        for s in wide_sets(20) for kind in ("robin", "dirichlet", "neumann")
+    ]
+
+    def three(sol):
+        return ref.heat_residual(sol, times=(0.1, 1.0, 10.0))
+
+    for sol in sols:
+        one = _failing_phases(heat_residual, sol)
+        assert one == _failing_phases(three, sol)
+        if not isinstance(one, type):
+            assert heat_residual(sol) == ref.heat_residual(sol)
 
 
 def test_stencil_point_past_a_front_raises(monkeypatch, sol_neumann):
@@ -274,7 +306,7 @@ def test_stencil_point_past_a_front_raises(monkeypatch, sol_neumann):
     assert "fell in phase 2" in str(err.value)
     # the named point lies in phase 2
     x = float(str(err.value).split("x=")[1].split(",")[0])
-    assert phase_profile(sol_neumann, x, DEFAULT_TIMES[0])[0] == 2
+    assert phase_profile(sol_neumann, x, 1.0)[0] == 2
 
     def starts_below(sol, t, rel_step):
         # a phase-2 window whose first points lie in phase 3
@@ -285,9 +317,9 @@ def test_stencil_point_past_a_front_raises(monkeypatch, sol_neumann):
     monkeypatch.setattr(verify, "_phase_windows", starts_below)
     with pytest.raises(StencilCrossesFront) as err:
         heat_residual(sol_neumann)
-    # the first sample of the first row is named: x = lo at the first time
-    lo = starts_below(sol_neumann, DEFAULT_TIMES[0], 1e-4)[2][0]
+    # the first sample of the first row is named: x = lo at t = 1
+    lo = starts_below(sol_neumann, 1.0, 1e-4)[2][0]
     assert str(err.value) == (
-        f"stencil point (x={lo!r}, t={DEFAULT_TIMES[0]!r}) fell in "
+        f"stencil point (x={lo!r}, t=1.0) fell in "
         "phase 3 while testing phase 2"
     )
