@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import specfun
-from .errors import MissingBoundaryDatum, RegimeError, RootFailure
-from .model import config_to_dict, require_bulk
+from .errors import MissingBoundaryDatum, RegimeError, ValidationError
+from .model import Violation, config_to_dict, require_bulk
 from .specfun import _inv_erfcx
 from .transcendental import (
     ProblemContext,
@@ -207,17 +207,14 @@ def _outer_bracket(ctx: ProblemContext) -> tuple[float, float]:
     return ctx.z0 + 1e-12, max(ctx.z0, 1.0)
 
 
-# Relative half-width of the bracket a seeded search tries first.
-_SEED_SPAN = 1e-9
+def _solved(ctx: ProblemContext, coef1: float, coef2: float) -> ThreePhaseSolution:
+    # the solution of a front pair, recorded on the context for solve()
+    object.__setattr__(ctx, "coefs", (coef1, coef2))
+    return ThreePhaseSolution(ctx, coef1, coef2)
 
 
-def _solve_outer(
-    ctx: ProblemContext, seed: Optional[float] = None
-) -> ThreePhaseSolution:
-    # classify, find coef1, and record the pair on the context for solve().
-    # A seed (an equivalent problem's coef1) is tried first as a narrow
-    # bracket inside this problem's own residual: the search must still find
-    # its own sign change there, else the cold bracket takes over.
+def _solve_outer(ctx: ProblemContext) -> ThreePhaseSolution:
+    # classify, find coef1, and record the pair on the context
     regime = classify_regime(ctx)
     if regime is not Regime.THREE_PHASE:
         raise RegimeError(
@@ -225,22 +222,8 @@ def _solve_outer(
             f"boundary datum only sustains the {regime.value} regime; "
             "no second front forms",
         )
-    residual = outer_residual(ctx)
-    lo, hi = _outer_bracket(ctx)
-    coef1 = None
-    if seed is not None:
-        near_lo = max(seed * (1.0 - _SEED_SPAN), lo)
-        near_hi = seed * (1.0 + _SEED_SPAN)
-        if near_lo < near_hi:
-            try:
-                coef1 = find_root_monotone(residual, near_lo, near_hi)
-            except RootFailure:
-                pass
-    if coef1 is None:
-        coef1 = find_root_monotone(residual, lo, hi)
-    coefs = (coef1, coef2_from_coef1(coef1, ctx))
-    object.__setattr__(ctx, "coefs", coefs)
-    return ThreePhaseSolution(ctx, *coefs)
+    coef1 = find_root_monotone(outer_residual(ctx), *_outer_bracket(ctx))
+    return _solved(ctx, coef1, coef2_from_coef1(coef1, ctx))
 
 
 def _of_kind(ctx: ProblemContext, kind: str) -> ProblemContext:
@@ -428,7 +411,22 @@ def perturbed(
     Every derived value follows the perturbed coefficients, so the copy
     is exactly what the solver would have built had it converged to the
     wrong roots.  Intended for verification negative controls.
+
+    Raises:
+        ValidationError: BAD_PERTURB when a perturbed coefficient is not
+            finite and positive or phase 2's span erf(coef1*sigma2) -
+            erf(coef2*sigma2), which its profile divides by, is not positive.
     """
-    return ThreePhaseSolution(
+    out = ThreePhaseSolution(
         sol.ctx, sol.coef1 * (1.0 + eps1), sol.coef2 * (1.0 + eps2)
     )
+    # a negative coef1 or an infinite coef2 leaves no positive span
+    if not (0.0 < out.coef2 and out.coef1 < math.inf
+            and out._excess_constants[5] > 0.0):
+        raise ValidationError([Violation(
+            "BAD_PERTURB",
+            f"perturbing by {eps1!r} and {eps2!r} gives the front coefficients "
+            f"{out.coef1!r} and {out.coef2!r}, which are not finite and "
+            "positive or leave phase 2 no span",
+        )])
+    return out

@@ -42,6 +42,18 @@ def benchmark_config(kind: str) -> dict:
     return {**base, "boundary": boundary}
 
 
+def cold_gaps(rep) -> tuple[float, float]:
+    """How far a mapping's target pair lies from a cold solve of its datum.
+
+    The mapped datum is solved on a fresh context, which shares no cached
+    value and no recorded pair with the source, so the paper's equivalence
+    is checked rather than assumed.  Returns the coef1 and coef2 gaps.
+    """
+    c = rep.target.ctx
+    cold = solve(ProblemContext(c.props, c.temps, c.bc))
+    return abs(rep.target.coef1 - cold.coef1), abs(rep.target.coef2 - cold.coef2)
+
+
 @pytest.fixture(scope="session")
 def ctx_plain():
     return ProblemContext(PROPS, TEMPS)

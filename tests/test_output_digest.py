@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
-    "sweep": "96356d8431cc9121a9e4b1c4dff81d4f6945a42a7f0ecb7a3dcd36fdc69b0541",
+    "sweep": "a0c05f063b6cfa770c342f70c21cf59462c76e3e9d12d8c33a5b3828e4fa90cd",
     "field": "d188c533105ebca853cde6e57baf02b8166232899b93b433238b6618037888db",
     "verify": "f3b1a497d5701a66e9d24cc87bc1c4a17ee45e912bf117dc2a62a86ad619b303",
 }

@@ -310,6 +310,18 @@ def test_perturbed_rebuilds_consistently(sol_robin):
     )
 
 
+@pytest.mark.parametrize(
+    "eps1, eps2",
+    # NaN and zero coefficients, a negative coef1, and ones so large that
+    # phase 2's span erf(coef1*sigma2) - erf(coef2*sigma2) rounds to 0
+    [(math.nan, 0.0), (0.0, -1.0), (-2.0, 0.0), (1e3, 1e3), (1e308, 1e308)],
+)
+def test_a_perturbation_that_breaks_the_fronts_is_rejected(sol_robin, eps1, eps2):
+    with pytest.raises(ValidationError) as exc:
+        perturbed(sol_robin, eps1, eps2)
+    assert [v.code for v in exc.value.violations] == ["BAD_PERTURB"]
+
+
 _BAD_NUMBERS = (math.nan, math.inf, -math.inf)
 
 

@@ -17,10 +17,12 @@ refactor that must not change results can be checked by running this on
 the parent and on the change.
 
 ``--deltas`` prints, in place of the digests, how far each ``sweep``
-mapping's target coefficients land from its source's: the largest relative
-delta in coef1 and in coef2, and how many of all those deltas are exactly
-zero.  A change that moves the last bits of the solves changes the digests;
-these figures say by how much the mappings' agreement moved.
+mapping's target coefficients land from a cold solve of its mapped datum
+on a fresh context: the largest relative gap in coef1 and in coef2, and how
+many of all those gaps are exactly zero.  A mapping's target is its
+source's pair, so these figures measure the paper's equivalence as the
+solver resolves it.  A change that moves the last bits of the solves
+changes the digests; these figures say by how much that agreement moved.
 """
 
 from __future__ import annotations
@@ -83,22 +85,24 @@ def _verify(s3, w, seed: int, workdir: Path) -> list:
     return out
 
 
-def _print_deltas(outputs: list) -> None:
+def _print_deltas(s3, outputs: list) -> None:
     worst = {"coef1": 0.0, "coef2": 0.0}
     zeros = total = 0
     for out in outputs:
         if isinstance(out, dict):  # a raised op maps nothing
             continue
         for rep in out[1]:
+            tgt = rep["target"]
+            ctx = s3.ProblemContext(*s3.config_from_dict(tgt["input"]))
+            cold = s3.solve(ctx)
             for name in worst:
-                src = rep["source"][name]
-                delta = abs(rep["target"][name] - src)
-                worst[name] = max(worst[name], delta / abs(src))
-                zeros += delta == 0.0
+                gap = abs(tgt[name] - getattr(cold, name))
+                worst[name] = max(worst[name], gap / abs(tgt[name]))
+                zeros += gap == 0.0
                 total += 1
     for name, value in worst.items():
-        print(f"sweep {name} max relative delta {value:.3g}")
-    print(f"sweep exact-zero deltas {zeros} of {total}")
+        print(f"sweep {name} max relative gap to a cold solve {value:.3g}")
+    print(f"sweep exact-zero gaps {zeros} of {total}")
 
 
 def main(argv=None) -> int:
@@ -107,8 +111,8 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parents[2],
                         help="source checkout holding src/ and bench/")
     parser.add_argument("--deltas", action="store_true",
-                        help="print sweep's source-to-target mapping deltas "
-                        "instead of the digests")
+                        help="print how far sweep's mapping targets lie from "
+                        "cold solves of their data instead of the digests")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -119,8 +123,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if args.deltas:
             w = workloads.WORKLOADS["sweep"]
-            _print_deltas([op for seed in SEEDS
-                           for op in _sweep(s3, w, seed, Path(tmp))])
+            _print_deltas(s3, [op for seed in SEEDS
+                               for op in _sweep(s3, w, seed, Path(tmp))])
             return 0
         for name, run in runners.items():
             w = workloads.WORKLOADS[name]
