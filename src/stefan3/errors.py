@@ -52,7 +52,7 @@ class HypothesisError(Exception):
 
 
 class StencilCrossesFront(Exception):
-    """A finite-difference stencil point left the phase region under test."""
+    """A finite-difference step leaves a phase no room to hold its stencil."""
 
 
 class DiffusivityWarning(UserWarning):

@@ -201,20 +201,22 @@ class ThreePhaseSolution:
         }
 
 
-def _outer_bracket(ctx: ProblemContext) -> tuple[float, float]:
-    # just above z0 the matched inner coefficient exists but is tiny, which
-    # pins the sign of the equation there for every admissible datum
-    return ctx.z0 + 1e-12, max(ctx.z0, 1.0)
+def _outer_bracket(ctx: ProblemContext) -> float:
+    # the lower end of the outer search: just above z0 the matched inner
+    # coefficient exists but is tiny, which pins the sign of the equation
+    # there for every admissible datum
+    return ctx.z0 + 1e-12
 
 
 def _solved(ctx: ProblemContext, coef1: float, coef2: float) -> ThreePhaseSolution:
     # the solution of a front pair, recorded on the context for solve()
-    object.__setattr__(ctx, "coefs", (coef1, coef2))
-    return ThreePhaseSolution(ctx, coef1, coef2)
+    sol = ThreePhaseSolution(ctx, coef1, coef2)
+    object.__setattr__(ctx, "solution", sol)
+    return sol
 
 
 def _solve_outer(ctx: ProblemContext) -> ThreePhaseSolution:
-    # classify, find coef1, and record the pair on the context
+    # classify, find coef1, and record the solution on the context
     regime = classify_regime(ctx)
     if regime is not Regime.THREE_PHASE:
         raise RegimeError(
@@ -222,7 +224,7 @@ def _solve_outer(ctx: ProblemContext) -> ThreePhaseSolution:
             f"boundary datum only sustains the {regime.value} regime; "
             "no second front forms",
         )
-    coef1 = find_root_monotone(outer_residual(ctx), *_outer_bracket(ctx))
+    coef1 = find_root_monotone(outer_residual(ctx), _outer_bracket(ctx))
     return _solved(ctx, coef1, coef2_from_coef1(coef1, ctx))
 
 
@@ -260,12 +262,12 @@ def solve(ctx: ProblemContext) -> ThreePhaseSolution:
 
     Calls solve_<kind> for the datum's kind, read from this module's
     namespace at call time, so a wrapper bound to that name is the one
-    called.  A context is solved once: later calls rebuild the solution
-    from the front coefficients recorded on the context, bit for bit, with
+    called.  A context is solved once: later calls return the solution
+    recorded on the context, the same object with its derived values, with
     no search.
     """
-    if ctx.coefs is not None:
-        return ThreePhaseSolution(ctx, *ctx.coefs)
+    if ctx.solution is not None:
+        return ctx.solution
     if ctx.bc is None:
         raise MissingBoundaryDatum("solve needs a boundary datum")
     return globals()[f"solve_{ctx.bc.kind}"](ctx)

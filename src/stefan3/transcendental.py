@@ -93,8 +93,8 @@ class ProblemContext:
 
     Construction runs the full model validation, so any context that exists
     describes a well-posed problem.  Derived constants, the zero ``z0`` and
-    the solver's front coefficients are computed once and cached on the
-    instance.  Every cached value but ``coefs`` depends on the material and
+    the solver's solution are computed once and cached on the instance.
+    Every cached value but ``solution`` depends on the material and
     temperatures alone.
     """
 
@@ -156,7 +156,7 @@ class ProblemContext:
     @_cached
     def z0(self) -> float:
         """Unique positive zero of h, found by find_root_monotone."""
-        return find_root_monotone(_h_kernel(self), 0.0, hi_start=1.0, tol=1e-13)
+        return find_root_monotone(_h_kernel(self), 0.0, tol=1e-13)
 
     @_cached
     def _erf_z0(self) -> float:
@@ -164,9 +164,10 @@ class ProblemContext:
         # everything else that depends on it reads q2
         return specfun.erf(self.z0 * self.sigma2)
 
-    # The solved (coef1, coef2), recorded on the instance by the solver;
-    # the pair and not the solution, which refers back to its context.
-    coefs: ClassVar[Optional[tuple[float, float]]] = None
+    # The solver's ThreePhaseSolution, recorded on the instance so that
+    # every solve of this context returns the same object and its caches;
+    # it refers back to this context, a cycle the garbage collector frees.
+    solution: ClassVar[Optional["ThreePhaseSolution"]] = None
 
     def with_bc(self, bc: Optional[BoundarySpec]) -> "ProblemContext":
         """Same material and temperatures under another boundary datum.
@@ -174,13 +175,13 @@ class ProblemContext:
         Only the new datum is checked, against this already valid material:
         an invalid one raises the ValidationError a fresh context would.
         The new context inherits every material value this one has already
-        computed, z0 included, and no front coefficients.
+        computed, z0 included, and no solution.
         """
         violations = datum_violations(self.temps, bc)
         if violations:
             raise ValidationError(violations)
         ctx = object.__new__(ProblemContext)
-        vars(ctx).update(vars(self), bc=bc, coefs=None)
+        vars(ctx).update(vars(self), bc=bc, solution=None)
         return ctx
 
 
@@ -335,16 +336,13 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
 
 
 def find_root_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi_start: Optional[float] = None,
-    tol: float = 1e-12,
+    f: Callable[[float], float], lo: float, tol: float = 1e-12
 ) -> float:
     """Root of a monotone function by a sign-bracketed interpolation search.
 
-    The upper bracket starts at ``hi_start`` (default ``max(lo, 1)``) and is
-    doubled until the sign changes, at most 200 times; the last end that
-    did not change sign becomes the lower end.  The search then keeps a
+    The upper bracket starts at 1, or at lo + 1 when lo is 1 or more, and
+    is doubled until the sign changes, at most 200 times; the last end
+    that did not change sign becomes the lower end.  The search then keeps a
     bracket on which f changes sign.  Each step interpolates the
     inverse of f through the last three points (a secant through the
     bracket ends when that falls outside it) and takes the midpoint instead
@@ -381,9 +379,7 @@ def find_root_monotone(
     flo = check(f(lo), lo)
     if flo == 0.0:
         return lo
-    hi = hi_start if hi_start is not None else max(lo, 1.0)
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = 1.0 if lo < 1.0 else lo + 1.0
     a, fa = lo, flo
     fhi = check(f(hi), hi)
     doublings = 0

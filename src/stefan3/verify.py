@@ -7,9 +7,9 @@ Five independent checks, each reported as a dimensionless residual:
   temperature is an affine image of that profile, and the equation is
   linear, so the relative residual of the profile equals that of the
   temperature while staying immune to the catastrophic cancellation a
-  300-kelvin offset would cause at the tested step sizes.  Each stencil
-  offset is one row inside one phase: the row is cut at the fronts once
-  and evaluated as that phase's slice, with no per-point classification.
+  300-kelvin offset would cause at the tested step sizes.  Each phase's
+  window is checked once to hold every stencil point, so each stencil
+  offset is one row evaluated by that phase's closed form, uncut.
 * interface: temperature continuity at both fronts, probed with the closed
   form of each adjacent phase.
 * stefan: energy balance at both fronts from the analytic one-sided
@@ -40,11 +40,9 @@ from .model import Violation
 from .solver import (
     _FRONT_BAND,
     ThreePhaseSolution,
-    _cut,
     _phase_excess,
     _profile,
     free_boundaries,
-    profile_row,
 )
 from .specfun import _inv_erfcx
 from .transcendental import surface_law
@@ -65,25 +63,33 @@ def _phase_windows(
 ) -> dict[int, tuple[float, float, float]]:
     """Sampling window (lo, hi) and FD step h for each phase at time t.
 
-    Windows keep every stencil point at least a few steps away from the
-    fronts, including where the fronts sit at the shifted times t(1 +/-
-    rel_step) used by the time difference.  A step whose square is not a
-    normal float (rel_step <= 0, NaN, or so small that h*h underflows) is
-    rejected, since the second difference divides by h*h; so is a step too
-    fine to move a window's first stencil point out of the _FRONT_BAND
-    above the front below it, where that point belongs to the next phase.
+    The verifier's one check that each stencil lies inside its phase, by
+    the solver's cut: a point above front * (1 + _FRONT_BAND) lies past
+    it.  Every stencil row ascends and keeps its order under +/-h, so it
+    checks lo - h at t and lo at t + rel_step*t against the front below,
+    where it is highest, and the last sample, plus h at t and alone at
+    t - rel_step*t, against the front above, where it is lowest.  A step
+    whose square is not a normal float (rel_step <= 0, NaN, or so small
+    that h*h underflows; the second difference divides by it), or that is
+    too fine to clear the front below, raises BAD_REL_STEP; one that
+    leaves a phase no room or crosses the front above, StencilCrossesFront.
     """
-    x2, x1 = free_boundaries(sol, t)
     a1, a2, a3 = sol.ctx.alphas
+    h_t = rel_step * t
+    # x = 0 and the fronts (x2, x1) at t, t + h_t and t - h_t; phase 3's first
+    # checks reject a step outside (0, 1), which has no time t - h_t
+    now, late, early = (
+        (0.0, *free_boundaries(sol, tau)) if tau > 0.0 else None
+        for tau in (t, t + h_t, t - h_t)
+    )
+    band = 1.0 + _FRONT_BAND
     out = {}
-    # each phase with the fronts below and above it; x = 0 bounds phase 3
-    for phase, alpha, below, above in (
-        (3, a3, 0.0, x2), (2, a2, x2, x1), (1, a1, x1, None)
-    ):
+    for phase, alpha, i in ((3, a3, 0), (2, a2, 1), (1, a1, 2)):
+        below = now[i]
         h = rel_step * 2.0 * math.sqrt(alpha * t)
         lo = below + 6.0 * h + below * rel_step
         normal = h > 0.0 and h * h >= sys.float_info.min
-        if not normal or lo - h <= below * (1.0 + _FRONT_BAND):
+        if not normal or lo - h <= below * band or lo <= late[i] * band:
             why = (f"too fine to keep its stencil off the front at x={below!r}"
                    if normal else "whose square is not a normal float")
             raise ValidationError([Violation(
@@ -91,34 +97,22 @@ def _phase_windows(
                 f"rel_step {rel_step!r} gives phase {phase} the step {h!r} "
                 f"at t={t!r}, {why}",
             )])
-        if above is None:
+        if phase == 1:
             # three diffusion lengths past the front covers all the decay
             # that is numerically distinguishable from the initial state
-            hi = x1 + 6.0 * math.sqrt(a1 * t)
+            hi = below + 6.0 * math.sqrt(alpha * t)
         else:
+            above = now[i + 1]
             hi = above - 6.0 * h - above * rel_step
-        if not lo < hi:
+        last = lo * (hi / lo)  # the last sample heat_residual takes
+        if not lo < hi or phase > 1 and (
+                last + h > above * band or last > early[i + 1] * band):
             raise StencilCrossesFront(
                 f"rel_step {rel_step!r} leaves no room inside phase {phase} "
                 f"at t={t!r}"
             )
         out[phase] = (lo, hi, h)
     return out
-
-
-def _stencil_row(
-    sol: ThreePhaseSolution, phase: int, xs: list[float], t: float
-) -> list[float]:
-    """Profile row of one stencil offset, which must lie wholly in ``phase``."""
-    lo, hi = _cut(sol, t, xs)[2][phase]
-    if lo or hi < len(xs):
-        got = profile_row(sol, t, xs)[0]
-        j = next(j for j, k in enumerate(got) if k != phase)
-        raise StencilCrossesFront(
-            f"stencil point (x={xs[j]!r}, t={t!r}) fell in "
-            f"phase {got[j]} while testing phase {phase}"
-        )
-    return _profile(sol, phase, t, xs)
 
 
 def heat_residual(
@@ -129,14 +123,15 @@ def heat_residual(
     Five-point stencil: central second difference in x with step
     rel_step * 2*sqrt(alpha_i*t), central first difference in t with step
     rel_step * t.  Sample points are geometrically spaced inside each
-    phase.  The profile is evaluated one row per stencil offset: for each
-    phase, the samples x, x - h and x + h at t, then x at t - h_t and at
-    t + h_t.
+    phase.  The profile is evaluated one row per stencil offset, by the
+    phase's own closed form: for each phase, the samples x, x - h and
+    x + h at t, then x at t - h_t and at t + h_t.  _phase_windows has
+    already checked that every one of those points lies in the phase.
 
     Raises:
         ValueError: n_points < 1, which would leave nothing to check.
-        StencilCrossesFront: A stencil evaluation landed in a different
-            phase, or rel_step is too coarse for a phase to hold a stencil.
+        StencilCrossesFront: rel_step is too coarse for a phase to hold a
+            stencil.
         ValidationError: BAD_REL_STEP, when a step's square is not a normal
             float or a step is too fine to keep a stencil off a front.
     """
@@ -148,11 +143,11 @@ def heat_residual(
         alpha = sol.ctx.alphas[phase - 1]
         ratio, last = hi / lo, max(n_points - 1, 1)
         xs = [lo * ratio ** (j / last) for j in range(n_points)]
-        w0s = _stencil_row(sol, phase, xs, 1.0)
-        wms = _stencil_row(sol, phase, [x - h for x in xs], 1.0)
-        wps = _stencil_row(sol, phase, [x + h for x in xs], 1.0)
-        wtms = _stencil_row(sol, phase, xs, 1.0 - h_t)
-        wtps = _stencil_row(sol, phase, xs, 1.0 + h_t)
+        w0s = _profile(sol, phase, 1.0, xs)
+        wms = _profile(sol, phase, 1.0, [x - h for x in xs])
+        wps = _profile(sol, phase, 1.0, [x + h for x in xs])
+        wtms = _profile(sol, phase, 1.0 - h_t, xs)
+        wtps = _profile(sol, phase, 1.0 + h_t, xs)
         hh, two_h_t = h * h, 2.0 * h_t
         # |d_t - alpha*d_xx| / max(|d_t|, |alpha*d_xx|, eps/t) at every
         # point, folded into a running max() that starts at 0

@@ -101,3 +101,7 @@ def test_verify_does_no_extra_kernel_work():
     # from the solution's cached constants, and every check samples one
     # time (1003 per op at seed 1; 3009 while each sampled three)
     assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 1003.0
+    # the front positions at t = 1, t + h_t and t - h_t for the windows, and
+    # one each for the interface, Stefan and far-field checks (6 per op at
+    # seed 1; 19 while every stencil row was cut at the fronts again)
+    assert res["metrics"]["solver.free_boundaries.calls_per_op"]["value"] <= 6.0

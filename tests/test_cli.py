@@ -274,6 +274,24 @@ def test_verify_step_too_fine_to_use_exits_one(capsys, robin_config, rel_step):
     assert err.count("\n") == 1
 
 
+def test_verify_step_too_fine_at_a_shifted_time_names_the_step(
+    capsys, write_config
+):
+    # at t*(1 + rel_step) the phase-1 window's first sample lies in the band
+    # above the outer front, so the step is rejected before any evaluation
+    from stefan3 import config_to_dict
+    from _random_sets import wide_sets
+
+    s = wide_sets(20)[13]
+    path = write_config(config_to_dict(s["ctx"].props, s["ctx"].temps, s["neumann"]))
+    code, out, err = run_cli(
+        capsys, ["verify", "--config", path, "--rel-step", "1e-14"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: BAD_REL_STEP: rel_step 1e-14 gives phase 1")
+    assert err.count("\n") == 1
+
+
 def test_verify_finest_resolvable_step_still_reports(capsys, robin_config):
     code, out, err = run_cli(
         capsys, ["verify", "--config", robin_config, "--rel-step", "1e-15"]

@@ -458,6 +458,28 @@ def test_mapping_a_solved_source_searches_only_for_the_target(
     assert max(cold_gaps(rep)) < DELTA_TOL
 
 
+def test_mapping_a_solved_context_reuses_its_solution(monkeypatch):
+    # solve(ctx) returns the solution recorded on the context, so a mapping
+    # reads the caller's surface values instead of deriving them again
+    from stefan3 import solve, specfun
+    from conftest import NEUMANN
+
+    ctx = ProblemContext(PROPS, TEMPS, NEUMANN)
+    sol = solve(ctx)
+    sol.surface_temp  # the caller reads its surface values once
+    calls = []
+    erf = specfun.erf
+
+    def counted(x):
+        calls.append(x)
+        return erf(x)
+
+    monkeypatch.setattr(specfun, "erf", counted)
+    reports = [mapping(ctx, "dirichlet"), mapping(ctx, "robin", sol.surface_temp + 5.0)]
+    assert calls == []
+    assert all(rep.source is sol for rep in reports)
+
+
 def test_a_chain_of_mappings_returns_the_convective_datum():
     # Robin -> Dirichlet -> Neumann -> Robin at the same A_inf reads h0 back
     # through the three surface laws; the last divides by A_inf - T(0), so

@@ -377,7 +377,7 @@ def test_with_bc_inherits_z0_and_still_validates(bc, searches, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nor is alpha2 == alpha3 warned of again
         heir = ctx.with_bc(bc)
-    assert heir == fresh and heir.coefs is None
+    assert heir == fresh and heir.solution is None
     # the heir recomputes nothing: no diffusivities, Stefan numbers,
     # erf(z0*sigma2) or z0 search of its own
     assert [getattr(heir, name) for name in material] == values
@@ -397,9 +397,9 @@ def test_memoized_solve_is_bit_identical_to_a_fresh_one(bc, searches):
     assert again == first
     fresh = solve(ProblemContext(PROPS, TEMPS, bc))
     assert (fresh.coef1, fresh.coef2) == (first.coef1, first.coef2)
-    # the record is the solved pair, and it is per context
-    assert ctx.coefs == (first.coef1, first.coef2)
-    assert ctx.with_bc(bc).coefs is None
+    # the record is the solution itself, and it is per context
+    assert again is first and ctx.solution is first
+    assert ctx.with_bc(bc).solution is None
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,7 @@ def test_find_root_simple_brackets():
     assert root == pytest.approx(2.0, abs=1e-13)
     root = find_root_monotone(lambda z: 5.0 - z, 0.0)
     assert root == pytest.approx(5.0, abs=1e-13)
-    root = find_root_monotone(lambda z: math.expm1(z - 3.0), 1.0, hi_start=1.5)
+    root = find_root_monotone(lambda z: math.expm1(z - 3.0), 1.0)
     assert root == pytest.approx(3.0, abs=1e-13)
 
 
@@ -213,7 +213,7 @@ HARD_CASES = {
 def test_find_root_worst_case_stays_near_bisection(name):
     f, exact = HARD_CASES[name]
     g, calls = _counted(f)
-    root = find_root_monotone(g, 0.0, hi_start=1.0)
+    root = find_root_monotone(g, 0.0)
     assert len(calls) <= _bisection_count(f, 0.0, 1.0) + 8
     assert abs(root - exact) <= 1e-14
     # the sign change lies within the 1e-14 bracket around the result
@@ -291,7 +291,7 @@ def test_fused_outer_residual_equals_the_point_functions_bit_for_bit():
         # ... and both equations have the same root, each searched down to
         # float spacing
         root, want = (
-            find_root_monotone(f, *_outer_bracket(ctx), tol=0.0)
+            find_root_monotone(f, _outer_bracket(ctx), tol=0.0)
             for f in (fused, paper))
         assert abs(root - want) <= 1e-14 * want, ctx.bc
 
