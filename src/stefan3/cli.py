@@ -8,7 +8,7 @@ import ``logging``).  A warning prints as one line, ``Category: message``.
 Exit codes:
     0  success
     1  invalid input (config schema, physical invariants, usage, verify step
-       or perturbation)
+       or perturbation); a step too coarse prints "verify step: ..."
     2  boundary datum outside the three-phase regime
     3  root search failure
     4  a mapping hypothesis inequality failed
@@ -245,7 +245,7 @@ def main(argv: Optional[list] = None) -> int:
         warnings.showwarning = _show_warning
         try:
             return _COMMANDS[args.command](args)
-        except (ValidationError, MissingBoundaryDatum, StencilCrossesFront) as exc:
+        except (ValidationError, MissingBoundaryDatum) as exc:
             if isinstance(exc, ValidationError):
                 for v in exc.violations:
                     print(f"invalid input: {v.code}: {v.message}", file=sys.stderr)
@@ -253,6 +253,9 @@ def main(argv: Optional[list] = None) -> int:
                     print("invalid input", file=sys.stderr)
             else:
                 print(f"invalid input: {exc}", file=sys.stderr)
+            return 1
+        except StencilCrossesFront as exc:  # a limit of the stencil, not the data
+            print(f"verify step: {exc}", file=sys.stderr)
             return 1
         except RegimeError as exc:
             _emit({"regime": exc.regime.value, "error": str(exc)})

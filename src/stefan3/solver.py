@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -209,9 +210,9 @@ def _outer_bracket(ctx: ProblemContext) -> float:
 
 
 def _solved(ctx: ProblemContext, coef1: float, coef2: float) -> ThreePhaseSolution:
-    # the solution of a front pair, recorded on the context for solve()
+    # the solution of a front pair, recorded weakly on the context for solve()
     sol = ThreePhaseSolution(ctx, coef1, coef2)
-    object.__setattr__(ctx, "solution", sol)
+    object.__setattr__(ctx, "_solution", weakref.ref(sol))
     return sol
 
 
@@ -262,12 +263,13 @@ def solve(ctx: ProblemContext) -> ThreePhaseSolution:
 
     Calls solve_<kind> for the datum's kind, read from this module's
     namespace at call time, so a wrapper bound to that name is the one
-    called.  A context is solved once: later calls return the solution
-    recorded on the context, the same object with its derived values, with
-    no search.
+    called.  A context is solved once: while a caller holds its solution,
+    later calls return that same object, recorded on the context, with its
+    derived values and no search.
     """
-    if ctx.solution is not None:
-        return ctx.solution
+    sol = ctx.solution
+    if sol is not None:
+        return sol
     if ctx.bc is None:
         raise MissingBoundaryDatum("solve needs a boundary datum")
     return globals()[f"solve_{ctx.bc.kind}"](ctx)

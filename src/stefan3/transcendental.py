@@ -31,6 +31,7 @@ paper's per-kind right-hand sides (``t_func``/``u_func``, ``v_func``,
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Optional
 
@@ -92,10 +93,9 @@ class ProblemContext:
     """Validated, immutable bundle of one problem's data.
 
     Construction runs the full model validation, so any context that exists
-    describes a well-posed problem.  Derived constants, the zero ``z0`` and
-    the solver's solution are computed once and cached on the instance.
-    Every cached value but ``solution`` depends on the material and
-    temperatures alone.
+    describes a well-posed problem.  Derived constants and the zero ``z0``
+    are computed once, cached on the instance, from the material and
+    temperatures alone; ``solution`` is the solver's result, held weakly.
     """
 
     props: MaterialProperties
@@ -164,10 +164,14 @@ class ProblemContext:
         # everything else that depends on it reads q2
         return specfun.erf(self.z0 * self.sigma2)
 
-    # The solver's ThreePhaseSolution, recorded on the instance so that
-    # every solve of this context returns the same object and its caches;
-    # it refers back to this context, a cycle the garbage collector frees.
-    solution: ClassVar[Optional["ThreePhaseSolution"]] = None
+    # the solver's ThreePhaseSolution, which refers back to this context,
+    # held weakly so that the pair is freed without the cycle collector
+    _solution: ClassVar[Optional[weakref.ref]] = None
+
+    @property
+    def solution(self) -> Optional["ThreePhaseSolution"]:
+        """The recorded solution while a caller holds it, else None."""
+        return self._solution and self._solution()
 
     def with_bc(self, bc: Optional[BoundarySpec]) -> "ProblemContext":
         """Same material and temperatures under another boundary datum.
@@ -181,7 +185,7 @@ class ProblemContext:
         if violations:
             raise ValidationError(violations)
         ctx = object.__new__(ProblemContext)
-        vars(ctx).update(vars(self), bc=bc, solution=None)
+        vars(ctx).update(vars(self), bc=bc, _solution=None)
         return ctx
 
 

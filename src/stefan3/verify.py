@@ -2,8 +2,9 @@
 
 Five independent checks, each reported as a dimensionless residual:
 
-* heat: finite-difference residual of the diffusion equation inside each
-  phase, evaluated on the per-phase similarity profile.  Each phase's
+* heat: finite-difference residual of the diffusion equation in its
+  similarity form inside each phase, evaluated on the per-phase similarity
+  profile.  Each phase's
   temperature is an affine image of that profile, and the equation is
   linear, so the relative residual of the profile equals that of the
   temperature while staying immune to the catastrophic cancellation a
@@ -66,30 +67,24 @@ def _phase_windows(
     The verifier's one check that each stencil lies inside its phase, by
     the solver's cut: a point above front * (1 + _FRONT_BAND) lies past
     it.  Every stencil row ascends and keeps its order under +/-h, so it
-    checks lo - h at t and lo at t + rel_step*t against the front below,
-    where it is highest, and the last sample, plus h at t and alone at
-    t - rel_step*t, against the front above, where it is lowest.  A step
-    whose square is not a normal float (rel_step <= 0, NaN, or so small
-    that h*h underflows; the second difference divides by it), or that is
-    too fine to clear the front below, raises BAD_REL_STEP; one that
-    leaves a phase no room or crosses the front above, StencilCrossesFront.
+    checks lo - h against the front below, where the stencil is lowest,
+    and the last sample plus h against the front above, where it is
+    highest.  A step whose square is not a normal float (rel_step <= 0,
+    NaN, or so small that h*h underflows; the second difference divides
+    by it), or that is too fine to clear the front below, raises
+    BAD_REL_STEP; one that leaves a phase no room or crosses the front
+    above, StencilCrossesFront.
     """
     a1, a2, a3 = sol.ctx.alphas
-    h_t = rel_step * t
-    # x = 0 and the fronts (x2, x1) at t, t + h_t and t - h_t; phase 3's first
-    # checks reject a step outside (0, 1), which has no time t - h_t
-    now, late, early = (
-        (0.0, *free_boundaries(sol, tau)) if tau > 0.0 else None
-        for tau in (t, t + h_t, t - h_t)
-    )
+    bounds = (0.0, *free_boundaries(sol, t))  # x = 0 and the fronts (x2, x1)
     band = 1.0 + _FRONT_BAND
     out = {}
     for phase, alpha, i in ((3, a3, 0), (2, a2, 1), (1, a1, 2)):
-        below = now[i]
+        below = bounds[i]
         h = rel_step * 2.0 * math.sqrt(alpha * t)
         lo = below + 6.0 * h + below * rel_step
         normal = h > 0.0 and h * h >= sys.float_info.min
-        if not normal or lo - h <= below * band or lo <= late[i] * band:
+        if not normal or lo - h <= below * band:
             why = (f"too fine to keep its stencil off the front at x={below!r}"
                    if normal else "whose square is not a normal float")
             raise ValidationError([Violation(
@@ -102,11 +97,10 @@ def _phase_windows(
             # that is numerically distinguishable from the initial state
             hi = below + 6.0 * math.sqrt(alpha * t)
         else:
-            above = now[i + 1]
+            above = bounds[i + 1]
             hi = above - 6.0 * h - above * rel_step
         last = lo * (hi / lo)  # the last sample heat_residual takes
-        if not lo < hi or phase > 1 and (
-                last + h > above * band or last > early[i + 1] * band):
+        if not lo < hi or phase > 1 and last + h > above * band:
             raise StencilCrossesFront(
                 f"rel_step {rel_step!r} leaves no room inside phase {phase} "
                 f"at t={t!r}"
@@ -120,13 +114,12 @@ def heat_residual(
 ) -> dict[str, float]:
     """Max relative diffusion-equation residual per phase, at t = 1.
 
-    Five-point stencil: central second difference in x with step
-    rel_step * 2*sqrt(alpha_i*t), central first difference in t with step
-    rel_step * t.  Sample points are geometrically spaced inside each
-    phase.  The profile is evaluated one row per stencil offset, by the
-    phase's own closed form: for each phase, the samples x, x - h and
-    x + h at t, then x at t - h_t and at t + h_t.  _phase_windows has
-    already checked that every one of those points lies in the phase.
+    A function of x/(2*sqrt(alpha*t)) has T_t = -(x/(2t))*T_x, so the check
+    is alpha*T_xx + (x/(2t))*T_x = 0 by central differences in x with step
+    h = rel_step * 2*sqrt(alpha_i*t), d_t = -x*(wp - wm)/(4h).  Samples x
+    are geometrically spaced inside each phase, and the rows x, x - h and
+    x + h are each evaluated by the phase's own closed form, uncut:
+    _phase_windows has checked that every point lies in the phase.
 
     Raises:
         ValueError: n_points < 1, which would leave nothing to check.
@@ -137,7 +130,6 @@ def heat_residual(
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    h_t = rel_step  # rel_step * t at t = 1
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     for phase, (lo, hi, h) in _phase_windows(sol, 1.0, rel_step).items():
         alpha = sol.ctx.alphas[phase - 1]
@@ -146,16 +138,14 @@ def heat_residual(
         w0s = _profile(sol, phase, 1.0, xs)
         wms = _profile(sol, phase, 1.0, [x - h for x in xs])
         wps = _profile(sol, phase, 1.0, [x + h for x in xs])
-        wtms = _profile(sol, phase, 1.0 - h_t, xs)
-        wtps = _profile(sol, phase, 1.0 + h_t, xs)
-        hh, two_h_t = h * h, 2.0 * h_t
+        hh, four_h = h * h, 4.0 * h
         # |d_t - alpha*d_xx| / max(|d_t|, |alpha*d_xx|, eps/t) at every
         # point, folded into a running max() that starts at 0
         worst[phase] = max(chain((0.0,), (
             abs(d_t - a_xx) / (_EPS if _EPS > big else big)
-            for w0, wm, wp, wtm, wtp in zip(w0s, wms, wps, wtms, wtps)
+            for x, w0, wm, wp in zip(xs, w0s, wms, wps)
             for a_xx in (alpha * ((wp - 2.0 * w0 + wm) / hh),)
-            for d_t in ((wtp - wtm) / two_h_t,)
+            for d_t in (-x * (wp - wm) / four_h,)
             for big in (abs(a_xx) if abs(a_xx) > abs(d_t) else abs(d_t),)
         )))
     return {f"phase{k}": v for k, v in worst.items()}

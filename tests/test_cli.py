@@ -274,31 +274,26 @@ def test_verify_step_too_fine_to_use_exits_one(capsys, robin_config, rel_step):
     assert err.count("\n") == 1
 
 
-def test_verify_step_too_fine_at_a_shifted_time_names_the_step(
-    capsys, write_config
+def test_verify_finest_resolvable_step_still_reports(
+    capsys, robin_config, write_config
 ):
-    # at t*(1 + rel_step) the phase-1 window's first sample lies in the band
-    # above the outer front, so the step is rejected before any evaluation
     from stefan3 import config_to_dict
     from _random_sets import wide_sets
 
     s = wide_sets(20)[13]
-    path = write_config(config_to_dict(s["ctx"].props, s["ctx"].temps, s["neumann"]))
-    code, out, err = run_cli(
-        capsys, ["verify", "--config", path, "--rel-step", "1e-14"]
-    )
-    assert (code, out) == (1, "")
-    assert err.startswith("invalid input: BAD_REL_STEP: rel_step 1e-14 gives phase 1")
-    assert err.count("\n") == 1
-
-
-def test_verify_finest_resolvable_step_still_reports(capsys, robin_config):
-    code, out, err = run_cli(
-        capsys, ["verify", "--config", robin_config, "--rel-step", "1e-15"]
-    )
-    # rounding dominates the heat residual at this step, so the report fails
-    assert code == 6 and err == ""
-    assert json.loads(out)["failures"]
+    # a material whose phase-1 stencil sat in the band above the outer front
+    # at t*(1 + rel_step) while the heat check took a difference in time
+    neumann = write_config(
+        config_to_dict(s["ctx"].props, s["ctx"].temps, s["neumann"]),
+        "neumann.json")
+    for path, step in ((robin_config, "1e-15"), (neumann, "1e-14")):
+        code, out, err = run_cli(
+            capsys, ["verify", "--config", path, "--rel-step", step]
+        )
+        # rounding dominates the heat residual at this step, so the report fails
+        assert code == 6 and err == ""
+        assert json.loads(out)["failures"]
+    assert json.loads(out)["failures"] == ["heat:phase2", "heat:phase3"]
 
 
 def test_verify_step_too_coarse_for_a_phase_exits_one(capsys, robin_config):
@@ -306,7 +301,7 @@ def test_verify_step_too_coarse_for_a_phase_exits_one(capsys, robin_config):
         capsys, ["verify", "--config", robin_config, "--rel-step", "0.5"]
     )
     assert (code, out) == (1, "")
-    assert err.startswith("invalid input: rel_step 0.5 leaves no room")
+    assert err.startswith("verify step: rel_step 0.5 leaves no room")
     assert err.count("\n") == 1
 
 

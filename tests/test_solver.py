@@ -402,6 +402,33 @@ def test_memoized_solve_is_bit_identical_to_a_fresh_one(bc, searches):
     assert ctx.with_bc(bc).solution is None
 
 
+def test_solved_contexts_are_freed_by_reference_counting():
+    # the context holds its solution weakly, so neither a solve nor the
+    # mappings of a solved context leave a cycle for the collector
+    import gc
+
+    from stefan3 import neumann_to_dirichlet, neumann_to_robin
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # alpha2 == alpha3 on this material
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                ctx = ProblemContext(PROPS, TEMPS, Neumann(q0=300.0))
+                sol = solve(ctx)
+                neumann_to_dirichlet(ctx)
+                neumann_to_robin(ctx, a_inf=334.0)
+            del ctx, sol
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+    # a dropped solution is not kept alive by its context
+    ctx = ProblemContext(PROPS, TEMPS, Neumann(q0=300.0))
+    solve(ctx)
+    assert ctx.solution is None
+
+
 @pytest.mark.parametrize(
     "bc", [Robin(h0=100.0, A_inf=334.0), Dirichlet(A=331.0), Neumann(q0=300.0)]
 )
