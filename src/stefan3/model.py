@@ -248,7 +248,10 @@ def _as_number(obj: dict, key: str) -> float:
         raise ValidationError(
             [Violation("BAD_FIELD_TYPE", f"config field {key!r} must be a number")]
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range, which validate rejects
+        return math.inf if value > 0 else -math.inf
 
 
 # boundary kind -> its datum class, whose fields are the JSON keys

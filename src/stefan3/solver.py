@@ -301,9 +301,9 @@ def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
 
 
 def _profile(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
-    # the given phase's profile at every x of xs, whether or not x lies in
-    # that phase; verification probes fronts from both sides.  erf and erfc
-    # are looked up per call, so wrappers installed on specfun see them all.
+    # the given phase's profile at every x of xs, a slice _row has cut to
+    # that phase.  erf and erfc are looked up per call, so wrappers
+    # installed on specfun see them all.
     d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
     f = specfun.erfc if phase == 1 else specfun.erf
     return [f(x / d) for x in xs]

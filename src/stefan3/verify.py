@@ -2,15 +2,12 @@
 
 Five independent checks, each reported as a dimensionless residual:
 
-* heat: finite-difference residual of the diffusion equation in its
-  similarity form inside each phase, evaluated on the per-phase similarity
-  profile.  Each phase's
-  temperature is an affine image of that profile, and the equation is
-  linear, so the relative residual of the profile equals that of the
-  temperature while staying immune to the catastrophic cancellation a
-  300-kelvin offset would cause at the tested step sizes.  Each phase's
-  window is checked once to hold every stencil point, so each stencil
-  offset is one row evaluated by that phase's closed form, uncut.
+* heat: central-difference residual of the heat equation in its
+  similarity form, f'' + 2*eta*f' = 0, on each phase's profile f (erf or
+  erfc of the phase's own variable eta).  Each phase's temperature is an
+  affine image of f, and the equation is linear, so the relative residual
+  of the profile equals that of the temperature while staying immune to
+  the catastrophic cancellation a 300-kelvin offset would cause.
 * interface: temperature continuity at both fronts, probed with the closed
   form of each adjacent phase.
 * stefan: energy balance at both fronts from the analytic one-sided
@@ -22,6 +19,9 @@ Every check runs once, at t = 1.  Each phase's temperature is an affine
 image of erf or erfc of its similarity variable x/(2*sqrt(alpha_i*t)), and
 both fronts sit at fixed values of it, so every residual here is a
 function of that variable alone: another time samples the same values.
+The heat and stefan checks work in that variable, at front values read
+from the front coefficients; interface and far_field evaluate the field
+kernel in x, so they are what checks its scaling.
 
 Each check's pinned tolerance is in ``TOLERANCES``.  Residual magnitudes
 at the default settings are limited by rounding, not truncation; the
@@ -36,16 +36,10 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 
+from . import specfun
 from .errors import StencilCrossesFront, ValidationError
 from .model import Violation
-from .solver import (
-    _FRONT_BAND,
-    ThreePhaseSolution,
-    _phase_excess,
-    _profile,
-    free_boundaries,
-)
-from .specfun import _inv_erfcx
+from .solver import _FRONT_BAND, ThreePhaseSolution, _phase_excess, free_boundaries
 from .transcendental import surface_law
 
 HEAT_TOL = 1e-6
@@ -60,93 +54,83 @@ _EPS = sys.float_info.epsilon
 
 
 def _phase_windows(
-    sol: ThreePhaseSolution, t: float, rel_step: float
-) -> dict[int, tuple[float, float, float]]:
-    """Sampling window (lo, hi) and FD step h for each phase at time t.
+    sol: ThreePhaseSolution, rel_step: float
+) -> dict[int, tuple[float, float]]:
+    """Sampling window (lo, hi) of each phase in its similarity variable.
 
-    The verifier's one check that each stencil lies inside its phase, by
-    the solver's cut: a point above front * (1 + _FRONT_BAND) lies past
-    it.  Every stencil row ascends and keeps its order under +/-h, so it
-    checks lo - h against the front below, where the stencil is lowest,
-    and the last sample plus h against the front above, where it is
-    highest.  A step whose square is not a normal float (rel_step <= 0,
-    NaN, or so small that h*h underflows; the second difference divides
-    by it), or that is too fine to clear the front below, raises
-    BAD_REL_STEP; one that leaves a phase no room or crosses the front
-    above, StencilCrossesFront.
+    The verifier's one check that each stencil lies inside its phase, with
+    the step h = rel_step in every phase.  By the solver's cut a point
+    above front * (1 + _FRONT_BAND) lies past it, so the lowest stencil
+    point lo - h is checked against the front below; the margin 6h +
+    above*h keeps the highest below the front above.  A step whose square
+    is not a normal float (rel_step <= 0, NaN, or so small that h*h
+    underflows; the second difference divides by it), or that is too fine
+    to clear the front below, raises BAD_REL_STEP; one that leaves a phase
+    no room, StencilCrossesFront.
     """
-    a1, a2, a3 = sol.ctx.alphas
-    bounds = (0.0, *free_boundaries(sol, t))  # x = 0 and the fronts (x2, x1)
-    band = 1.0 + _FRONT_BAND
+    c, h = sol.ctx, rel_step
+    # x = 0 and the fronts in each phase's own variable; three diffusion
+    # lengths past the outer front cover all the decay that is numerically
+    # distinguishable from the initial state
+    bounds = {
+        3: (0.0, sol.coef2 * c.sigma3),
+        2: (sol.coef2 * c.sigma2, sol.coef1 * c.sigma2),
+        1: (sol.coef1, sol.coef1 + 3.0),
+    }
+    normal = h > 0.0 and h * h >= sys.float_info.min
     out = {}
-    for phase, alpha, i in ((3, a3, 0), (2, a2, 1), (1, a1, 2)):
-        below = bounds[i]
-        h = rel_step * 2.0 * math.sqrt(alpha * t)
-        lo = below + 6.0 * h + below * rel_step
-        normal = h > 0.0 and h * h >= sys.float_info.min
-        if not normal or lo - h <= below * band:
-            why = (f"too fine to keep its stencil off the front at x={below!r}"
-                   if normal else "whose square is not a normal float")
+    for phase, (below, above) in bounds.items():
+        lo = below + 6.0 * h + below * h
+        if not normal or lo - h <= below * (1.0 + _FRONT_BAND):
+            why = (f"too fine to keep phase {phase}'s stencil off the front "
+                   f"at eta={below!r}" if normal
+                   else "a step whose square is not a normal float")
             raise ValidationError([Violation(
-                "BAD_REL_STEP",
-                f"rel_step {rel_step!r} gives phase {phase} the step {h!r} "
-                f"at t={t!r}, {why}",
-            )])
-        if phase == 1:
-            # three diffusion lengths past the front covers all the decay
-            # that is numerically distinguishable from the initial state
-            hi = below + 6.0 * math.sqrt(alpha * t)
-        else:
-            above = bounds[i + 1]
-            hi = above - 6.0 * h - above * rel_step
-        last = lo * (hi / lo)  # the last sample heat_residual takes
-        if not lo < hi or phase > 1 and last + h > above * band:
+                "BAD_REL_STEP", f"rel_step {rel_step!r} is {why}")])
+        hi = above if phase == 1 else above - 6.0 * h - above * h
+        if not lo < hi:
             raise StencilCrossesFront(
-                f"rel_step {rel_step!r} leaves no room inside phase {phase} "
-                f"at t={t!r}"
+                f"rel_step {rel_step!r} leaves no room inside phase {phase}"
             )
-        out[phase] = (lo, hi, h)
+        out[phase] = (lo, hi)
     return out
 
 
 def heat_residual(
     sol: ThreePhaseSolution, rel_step: float = 1e-4, n_points: int = 100
 ) -> dict[str, float]:
-    """Max relative diffusion-equation residual per phase, at t = 1.
+    """Max relative diffusion-equation residual per phase.
 
-    A function of x/(2*sqrt(alpha*t)) has T_t = -(x/(2t))*T_x, so the check
-    is alpha*T_xx + (x/(2t))*T_x = 0 by central differences in x with step
-    h = rel_step * 2*sqrt(alpha_i*t), d_t = -x*(wp - wm)/(4h).  Samples x
-    are geometrically spaced inside each phase, and the rows x, x - h and
-    x + h are each evaluated by the phase's own closed form, uncut:
-    _phase_windows has checked that every point lies in the phase.
+    The check is f'' + 2*eta*f' = 0 on each phase's profile f(eta), erf in
+    phases 2 and 3 and erfc in phase 1, by central differences with step h
+    = rel_step: d_xx = (wp - 2*w0 + wm)/h^2, d_t = -eta*(wp - wm)/h.  The
+    samples are geometrically spaced inside the windows of _phase_windows,
+    which has checked that every stencil point lies in its phase.
 
     Raises:
         ValueError: n_points < 1, which would leave nothing to check.
         StencilCrossesFront: rel_step is too coarse for a phase to hold a
             stencil.
-        ValidationError: BAD_REL_STEP, when a step's square is not a normal
-            float or a step is too fine to keep a stencil off a front.
+        ValidationError: BAD_REL_STEP, when the step's square is not a normal
+            float or the step is too fine to keep a stencil off a front.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    h, hh = rel_step, rel_step * rel_step
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
-    for phase, (lo, hi, h) in _phase_windows(sol, 1.0, rel_step).items():
-        alpha = sol.ctx.alphas[phase - 1]
+    for phase, (lo, hi) in _phase_windows(sol, rel_step).items():
+        # looked up per call, so wrappers installed on specfun see them all
+        f = specfun.erfc if phase == 1 else specfun.erf
         ratio, last = hi / lo, max(n_points - 1, 1)
-        xs = [lo * ratio ** (j / last) for j in range(n_points)]
-        w0s = _profile(sol, phase, 1.0, xs)
-        wms = _profile(sol, phase, 1.0, [x - h for x in xs])
-        wps = _profile(sol, phase, 1.0, [x + h for x in xs])
-        hh, four_h = h * h, 4.0 * h
-        # |d_t - alpha*d_xx| / max(|d_t|, |alpha*d_xx|, eps/t) at every
-        # point, folded into a running max() that starts at 0
+        # |d_t - d_xx| / max(|d_t|, |d_xx|, eps) at every sample, folded
+        # into a running max() that starts at 0
         worst[phase] = max(chain((0.0,), (
-            abs(d_t - a_xx) / (_EPS if _EPS > big else big)
-            for x, w0, wm, wp in zip(xs, w0s, wms, wps)
-            for a_xx in (alpha * ((wp - 2.0 * w0 + wm) / hh),)
-            for d_t in (-x * (wp - wm) / four_h,)
-            for big in (abs(a_xx) if abs(a_xx) > abs(d_t) else abs(d_t),)
+            abs(d_t - d_xx) / (_EPS if _EPS > big else big)
+            for eta in (lo * ratio ** (j / last) for j in range(n_points))
+            for w0, wm, wp in ((f(eta), f(eta - h), f(eta + h)),)
+            for d_xx in ((wp - 2.0 * w0 + wm) / hh,)
+            for d_t in (-eta * (wp - wm) / h,)
+            for big in (abs(d_xx) if abs(d_xx) > abs(d_t) else abs(d_t),)
         )))
     return {f"phase{k}": v for k, v in worst.items()}
 
@@ -173,19 +157,16 @@ def interface_residual(sol: ThreePhaseSolution) -> dict[str, float]:
 
 
 def _gradients_at(sol: ThreePhaseSolution) -> tuple:
-    """Analytic one-sided gradients at t = 1: phases 1, 2 at x1; 2, 3 at x2."""
+    """Analytic one-sided gradients at t = 1: phases 1, 2 at x1; 2, 3 at x2.
+
+    The fronts' eta come from the front coefficients; at eta = coef1,
+    phase 1's erfc(eta)/erfc(coef1) is exactly 1.
+    """
     a1, a2, a3 = sol.ctx.alphas
-    x2, x1 = free_boundaries(sol, 1.0)
-    e1 = x1 / (2.0 * math.sqrt(a1))
-    e2_at_1 = x1 / (2.0 * math.sqrt(a2))
-    e2_at_2 = x2 / (2.0 * math.sqrt(a2))
-    e3 = x2 / (2.0 * math.sqrt(a3))
-    _, slope3, solid, rise, _, span2, den = sol._excess_constants
-    num = math.exp(-e1 * e1)
-    if not den:  # erfc(coef1) underflowed: scale both by exp(coef1^2)
-        k = sol.coef1
-        num, den = math.exp((k - e1) * (k + e1)), 1.0 / _inv_erfcx(k)
-    g1 = -solid * num / (math.sqrt(math.pi * a1) * den)
+    s2, s3 = sol.ctx.sigma2, sol.ctx.sigma3
+    e2_at_1, e2_at_2, e3 = sol.coef1 * s2, sol.coef2 * s2, sol.coef2 * s3
+    _, slope3, solid, rise, _, span2, _ = sol._excess_constants
+    g1 = -solid * specfun._inv_erfcx(sol.coef1) / math.sqrt(math.pi * a1)
     slope2 = -rise / (math.sqrt(math.pi * a2) * span2)
     g2_at_1 = slope2 * math.exp(-e2_at_1 * e2_at_1)
     g2_at_2 = slope2 * math.exp(-e2_at_2 * e2_at_2)

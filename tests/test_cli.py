@@ -326,6 +326,20 @@ def test_invalid_physical_data_exits_one(capsys, write_config):
     assert "DIRICHLET_A_NOT_ABOVE_B" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "thresholds"])
+@pytest.mark.parametrize("where", ["k1", "h0"])
+def test_an_integer_past_the_float_range_is_not_finite(
+    capsys, write_config, command, where
+):
+    # JSON reads 10**400 as an int, which float() cannot hold; it must be
+    # reported as the literal 1e400 is, not escape as an OverflowError
+    cfg = benchmark_config("robin")
+    (cfg if where == "k1" else cfg["boundary"])[where] = 10**400
+    code, out, err = run_cli(capsys, [command, "--config", write_config(cfg)])
+    assert (code, out) == (1, "")
+    assert err == "invalid input: NOT_FINITE: all inputs must be finite numbers\n"
+
+
 def test_schema_problems_exit_one(capsys, write_config, tmp_path):
     cfg = benchmark_config("robin")
     del cfg["k2"]

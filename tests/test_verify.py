@@ -165,7 +165,7 @@ def test_coarse_step_has_no_room(sol_robin):
     with pytest.raises(StencilCrossesFront):
         heat_residual(sol_robin, rel_step=0.2)
     with pytest.raises(StencilCrossesFront):
-        _phase_windows(sol_robin, 1.0, 0.2)
+        _phase_windows(sol_robin, 0.2)
 
 
 @pytest.mark.parametrize("rel_step", [1e-200, 1e-160, 0.0, -1e-4, math.nan])
@@ -189,14 +189,12 @@ def test_step_too_fine_to_clear_a_front_is_rejected(
 
 
 def test_windows_clear_the_fronts(sol_neumann):
-    from stefan3 import free_boundaries
-
-    t = 1.0
-    x2, x1 = free_boundaries(sol_neumann, t)
-    win = _phase_windows(sol_neumann, t, 1e-4)
-    assert 0.0 < win[3][0] < win[3][1] < x2
-    assert x2 < win[2][0] < win[2][1] < x1
-    assert x1 < win[1][0] < win[1][1]
+    # each window in its phase's own variable, between the fronts there
+    c, (k1, k2) = sol_neumann.ctx, (sol_neumann.coef1, sol_neumann.coef2)
+    win = _phase_windows(sol_neumann, 1e-4)
+    assert 0.0 < win[3][0] < win[3][1] < k2 * c.sigma3
+    assert k2 * c.sigma2 < win[2][0] < win[2][1] < k1 * c.sigma2
+    assert k1 < win[1][0] < win[1][1]
 
 
 def test_report_serialization(sol_robin):
@@ -273,15 +271,16 @@ def _failing_phases(check, sol):
 
 
 def test_one_time_measures_what_three_did(sol_robin, sol_dirichlet, sol_neumann):
-    # every stencil scales with sqrt(t), so t = 0.1, 1 and 10 sample the
-    # same similarity values: the one time gives the three times' verdicts
+    # every stencil in x scales with sqrt(t), so the check in x at t = 0.1,
+    # 1 and 10 samples the same similarity values as the check in eta: the
+    # one gives the three times' verdicts
     sols = [sol_robin, sol_dirichlet, sol_neumann] + [
         solve(s["ctx"].with_bc(s[kind]))
         for s in wide_sets(20) for kind in ("robin", "dirichlet", "neumann")
     ]
 
     def three(sol):
-        return ref.heat_residual(sol, times=(0.1, 1.0, 10.0))
+        return ref.heat_residual_x(sol, times=(0.1, 1.0, 10.0))
 
     for sol in sols:
         one = _failing_phases(heat_residual, sol)
@@ -299,7 +298,8 @@ WINDOW_STEPS = (1e-16, 1e-15, 5e-15, 8e-15, 1e-14, 1.5e-14, 2e-14,
 def test_accepted_windows_hold_every_stencil_point():
     # _phase_windows is the verifier's only containment check: every window
     # it accepts keeps all three stencil rows of heat_residual inside the
-    # phase, by the solver's own point-by-point classification
+    # phase, by the solver's own point-by-point classification at the x
+    # of each eta
     from stefan3.solver import profile_row
 
     accepted, strays = 0, []
@@ -308,16 +308,17 @@ def test_accepted_windows_hold_every_stencil_point():
             sol = solve(s["ctx"].with_bc(s[kind]))
             for rel_step in WINDOW_STEPS:
                 try:
-                    windows = _phase_windows(sol, 1.0, rel_step)
+                    windows = _phase_windows(sol, rel_step)
                 except (StencilCrossesFront, ValidationError):
                     continue
                 accepted += 1
-                for phase, (lo, hi, h) in windows.items():
-                    ratio = hi / lo
-                    xs = [lo * ratio ** (j / 99) for j in range(100)]
+                for phase, (lo, hi) in windows.items():
+                    scale = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1])
+                    etas = [lo * (hi / lo) ** (j / 99) for j in range(100)]
                     strays += [
                         (kind, rel_step, phase, x)
-                        for row in (xs, [x - h for x in xs], [x + h for x in xs])
+                        for h in (0.0, -rel_step, rel_step)
+                        for row in ([scale * (e + h) for e in etas],)
                         for x, k in zip(row, profile_row(sol, 1.0, row)[0])
                         if k != phase
                     ]
@@ -334,15 +335,17 @@ def test_similarity_form_passes_where_the_time_difference_failed():
         assert rep.passes, (kind, rep.failures())
 
 
-def test_kernel_with_a_wrong_diffusivity_fails_in_every_phase(
+def test_kernel_with_a_wrong_diffusivity_fails_at_every_front(
     sol_robin, sol_dirichlet, sol_neumann, monkeypatch
 ):
-    # the kernel reads alpha only as alpha*t, so scaling t scales alpha
+    # the field kernel reads alpha only as alpha*t, so scaling t scales
+    # alpha; the heat and stefan checks work in eta, so the interface
+    # probes at the fronts in x are what catch a kernel scaled wrong
     from stefan3 import verify
 
-    profile = verify._profile
+    excess = verify._phase_excess
     monkeypatch.setattr(
-        verify, "_profile",
-        lambda sol, phase, t, xs: profile(sol, phase, 1.001 * t, xs))
+        verify, "_phase_excess",
+        lambda sol, phase, t, xs: excess(sol, phase, 1.001 * t, xs))
     for sol in (sol_robin, sol_dirichlet, sol_neumann):
-        assert min(heat_residual(sol).values()) >= 9e-4
+        assert min(interface_residual(sol).values()) >= 1e-5 > INTERFACE_TOL
