@@ -22,7 +22,6 @@ from .errors import (
     MissingBoundaryDatum,
     RegimeError,
     RootFailure,
-    StencilCrossesFront,
     ValidationError,
 )
 from .model import (
@@ -114,7 +113,6 @@ __all__ = [
     "Robin",
     "RootFailure",
     "StefanNumbers",
-    "StencilCrossesFront",
     "ThreePhaseSolution",
     "Thresholds",
     "ValidationError",

@@ -7,8 +7,8 @@ import ``logging``).  A warning prints as one line, ``Category: message``.
 
 Exit codes:
     0  success
-    1  invalid input (config schema, physical invariants, usage, verify step
-       or perturbation); a step too coarse prints "verify step: ..."
+    1  invalid input (config schema, physical invariants, usage or a
+       verify perturbation)
     2  boundary datum outside the three-phase regime
     3  root search failure
     4  a mapping hypothesis inequality failed
@@ -33,7 +33,6 @@ from .errors import (
     MissingBoundaryDatum,
     RegimeError,
     RootFailure,
-    StencilCrossesFront,
     ValidationError,
 )
 from .model import _BOUNDARY_KINDS, Violation, load_config
@@ -102,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nt", type=int, default=200, help="t samples")
 
     p = with_config(sub.add_parser("verify", help="run residual checks"))
-    p.add_argument("--rel-step", type=float, default=1e-4, dest="rel_step",
-                   help="finite-difference step, relative to each scale")
     p.add_argument("--perturb", type=float, default=None,
                    help=argparse.SUPPRESS)
 
@@ -209,15 +206,11 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.rel_step) and args.rel_step > 0.0):
-        raise ValidationError(
-            [Violation("BAD_REL_STEP", "need a finite rel-step > 0")]
-        )
     sol = solve(_require_bc(_context(args.config)))
     if args.perturb is not None:
         log.info("perturbing both coefficients by %r", args.perturb)
         sol = perturbed(sol, args.perturb, args.perturb)
-    rep = _cli.full_report(sol, rel_step=args.rel_step)
+    rep = _cli.full_report(sol)
     _emit(rep.to_dict())
     if not rep.passes:
         log.info("verification failed: %s", ", ".join(rep.failures()))
@@ -253,9 +246,6 @@ def main(argv: Optional[list] = None) -> int:
                     print("invalid input", file=sys.stderr)
             else:
                 print(f"invalid input: {exc}", file=sys.stderr)
-            return 1
-        except StencilCrossesFront as exc:  # a limit of the stencil, not the data
-            print(f"verify step: {exc}", file=sys.stderr)
             return 1
         except RegimeError as exc:
             _emit({"regime": exc.regime.value, "error": str(exc)})

@@ -51,9 +51,5 @@ class HypothesisError(Exception):
         super().__init__(f"hypothesis {name} failed: {lhs!r} <= {rhs!r}")
 
 
-class StencilCrossesFront(Exception):
-    """A finite-difference step leaves a phase no room to hold its stencil."""
-
-
 class DiffusivityWarning(UserWarning):
     """Emitted when the two outer diffusivities are exactly equal."""

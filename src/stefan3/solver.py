@@ -341,28 +341,18 @@ def _row(sol: ThreePhaseSolution, t: float, xs: Sequence[float], kernel) -> tupl
     return phases, values
 
 
-def profile_row(
-    sol: ThreePhaseSolution, t: float, xs: Sequence[float]
-) -> tuple[list[int], list[float]]:
-    """Phase index and similarity profile at every x of xs, at one time t.
-
-    The row form of phase_profile, equal to it point for point; xs may
-    come in any order.  A point within _FRONT_BAND (relative) above a
-    front belongs to the phase on its lower-x side.
-
-    Raises:
-        ValueError: An x is negative or not finite, or t is not a finite
-            positive number.
-    """
-    return _row(sol, t, xs, _profile)
-
-
 def temperature_row(
     sol: ThreePhaseSolution, t: float, xs: Sequence[float]
 ) -> list[float]:
     """Temperature in kelvin at every x of xs, at one time t.
 
-    Equal to evaluate_temperature point for point; raises as profile_row.
+    Equal to evaluate_temperature point for point; xs may come in any
+    order.  A point within _FRONT_BAND (relative) above a front belongs to
+    the phase on its lower-x side.
+
+    Raises:
+        ValueError: An x is negative or not finite, or t is not a finite
+            positive number.
     """
     d = sol.ctx.temps.D
     return [d + e for e in _row(sol, t, xs, _phase_excess)[1]]
@@ -390,9 +380,10 @@ def phase_profile(sol: ThreePhaseSolution, x: float, t: float) -> tuple[int, flo
     phases and w = erfc(...) for the solid.  The temperature in phase i is
     a_i + b_i*w with constants a_i, b_i, so any linear functional of the
     temperature, such as a heat-equation residual, can be evaluated on w
-    alone with perfect relative conditioning.  profile_row is its row form.
+    alone with perfect relative conditioning.  It cuts and raises as
+    temperature_row.
     """
-    phases, ws = profile_row(sol, t, (x,))
+    phases, ws = _row(sol, t, (x,), _profile)
     return phases[0], ws[0]
 
 

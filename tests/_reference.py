@@ -17,20 +17,18 @@ each solver's own residual once did; the tests assert that the law's
 equation has the same sign everywhere and the same root.
 
 The package evaluates its fields one time row at a time
-(``solver.profile_row``).  The functions after those evaluate one (x, t)
-at a time, with the per-point classification, scaling and stencil loop the
-row code replaced, and the tests assert that the row code equals them bit
-for bit.  ``heat_residual_x`` is the heat check as it was taken in x, on
-the x windows of ``x_windows``; the tests assert that the check in the
-similarity variable gives its verdicts.
+(``solver.temperature_row``).  The functions after those evaluate one
+(x, t) at a time, with the per-point classification and scaling the row
+code replaced, and the tests assert that the row code equals them bit for
+bit.  ``heat_residual`` is the heat check with one field-kernel call per
+sample; the tests compare the row form with it.
 """
 
 import math
-import sys
 
 from stefan3 import specfun, verify
-from stefan3.errors import MissingBoundaryDatum, StencilCrossesFront, ValidationError
-from stefan3.model import Dirichlet, Neumann, Robin, Violation
+from stefan3.errors import MissingBoundaryDatum
+from stefan3.model import Dirichlet, Neumann, Robin
 from stefan3.solver import _FRONT_BAND, free_boundaries
 from stefan3.transcendental import (
     _SQRT_PI,
@@ -281,100 +279,37 @@ def evaluate_temperature(sol, x, t):
     return sol.ctx.temps.D + temperature_excess(sol, x, t)
 
 
-def heat_residual(sol, rel_step=1e-4, n_points=100):
-    """verify.heat_residual with one profile evaluation per stencil point.
+def heat_residual(sol, times=verify.HEAT_TIMES, n=verify.HEAT_SAMPLES):
+    """verify.heat_residual with one field-kernel call per sample and time.
 
-    Three points per sample of each phase's own variable eta: the central
-    differences of f'' + 2*eta*f' = 0, with d_t = -2*eta*(wp - wm)/(2h).
-    Each point is classified by the solver's rule at x = 2*sqrt(alpha_i)*eta
-    and t = 1, and must lie in the phase it tests.
+    Each phase's field at x = 2*sqrt(alpha_i*t)*eta for n evenly spaced eta
+    between its ends, held to the line a + b*f(eta) through the first and
+    last sample at the first time, with f = erf, or erfc(eta)/erfc(coef1)
+    in phase 1 (taken plainly, so coef1 must leave erfc(coef1 + 3) normal).
+    The kernel is looked up on verify per call, so a patched one is used.
     """
-    worst = {1: 0.0, 2: 0.0, 3: 0.0}
-    h = rel_step
-    for phase, (lo, hi) in verify._phase_windows(sol, rel_step).items():
-        scale = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1])
-        ratio = hi / lo
-        for j in range(n_points):
-            eta = lo * ratio ** (j / (n_points - 1)) if n_points > 1 else lo
-            samples = []
-            for e in (eta, eta - h, eta + h):
-                got = classify_point(sol, scale * e, 1.0)
-                if got != phase:
-                    raise StencilCrossesFront(
-                        f"stencil point eta={e!r} fell in phase {got} while "
-                        f"testing phase {phase}"
-                    )
-                samples.append(specfun.erfc(e) if phase == 1 else specfun.erf(e))
-            w0, wm, wp = samples
-            d_xx = (wp - 2.0 * w0 + wm) / (h * h)
-            d_t = -2.0 * eta * (wp - wm) / (2.0 * h)
-            res = abs(d_t - d_xx) / max(abs(d_t), abs(d_xx), verify._EPS)
-            if res > worst[phase]:
-                worst[phase] = res
-    return {f"phase{k}": v for k, v in worst.items()}
-
-
-def x_windows(sol, t, rel_step):
-    """The heat check's windows (lo, hi, h) in x at time t, per phase.
-
-    The formulas verify used while it checked the heat equation in x:
-    each phase's step is h = rel_step * 2*sqrt(alpha_i*t), and the margins
-    are those of verify._phase_windows, scaled to x.
-    """
-    bounds = (0.0, *free_boundaries(sol, t))
-    band = 1.0 + _FRONT_BAND
+    c, k1 = sol.ctx, sol.coef1
+    ends = {1: (k1, k1 + 3.0), 2: (sol.coef2 * c.sigma2, k1 * c.sigma2),
+            3: (0.0, sol.coef2 * c.sigma3)}
     out = {}
-    for phase, i in ((3, 0), (2, 1), (1, 2)):
-        alpha = sol.ctx.alphas[phase - 1]
-        below = bounds[i]
-        h = rel_step * 2.0 * math.sqrt(alpha * t)
-        lo = below + 6.0 * h + below * rel_step
-        if not (h > 0.0 and h * h >= sys.float_info.min) or lo - h <= below * band:
-            raise ValidationError([Violation("BAD_REL_STEP", f"phase {phase}")])
-        if phase == 1:
-            hi = below + 6.0 * math.sqrt(alpha * t)
-        else:
-            above = bounds[i + 1]
-            hi = above - 6.0 * h - above * rel_step
-        if not lo < hi or phase > 1 and lo * (hi / lo) + h > above * band:
-            raise StencilCrossesFront(f"no room inside phase {phase}")
-        out[phase] = (lo, hi, h)
+    for phase, (lo, hi) in ends.items():
+        etas = [lo + (hi - lo) * j / (n - 1) for j in range(n - 1)] + [hi]
+        fs = [specfun.erfc(e) / specfun.erfc(k1) if phase == 1 else specfun.erf(e)
+              for e in etas]
+        rows = []
+        for t in times:
+            d = 2.0 * math.sqrt(c.alphas[phase - 1] * t)
+            rows.append([verify._phase_excess(sol, phase, t, (d * e,))[0]
+                         for e in etas])
+        first = rows[0]
+        slope = (first[-1] - first[0]) / (fs[-1] - fs[0])
+        dev = big = 0.0
+        for row in rows:
+            for v, f in zip(row, fs):
+                dev = max(dev, abs(v - first[0] - slope * (f - fs[0])))
+                big = max(big, abs(v))
+        out[f"phase{phase}"] = dev / big
     return out
-
-
-def heat_residual_x(sol, rel_step=1e-4, n_points=100, times=(1.0,)):
-    """The heat check in x, one phase_profile call per stencil point.
-
-    alpha*T_xx + (x/(2t))*T_x = 0 by central differences in x, with d_t =
-    -x/(2t)*(wp - wm)/(2h), on the windows of x_windows, maximised over the
-    times.  It shows that the check in eta gives the verdicts the check in
-    x gave at any time.
-    """
-    worst = {1: 0.0, 2: 0.0, 3: 0.0}
-    for t in times:
-        for phase, (lo, hi, h) in x_windows(sol, t, rel_step).items():
-            alpha = sol.ctx.alphas[phase - 1]
-            ratio = hi / lo
-            for j in range(n_points):
-                x = lo * ratio ** (j / (n_points - 1)) if n_points > 1 else lo
-                samples = []
-                for xx in (x, x - h, x + h):
-                    got, w = phase_profile(sol, xx, t)
-                    if got != phase:
-                        raise StencilCrossesFront(
-                            f"stencil point (x={xx!r}, t={t!r}) fell in "
-                            f"phase {got} while testing phase {phase}"
-                        )
-                    samples.append(w)
-                w0, wm, wp = samples
-                d_xx = (wp - 2.0 * w0 + wm) / (h * h)
-                d_t = -x / (2.0 * t) * (wp - wm) / (2.0 * h)
-                num = abs(d_t - alpha * d_xx)
-                den = max(abs(d_t), abs(alpha * d_xx), verify._EPS / t)
-                res = num / den
-                if res > worst[phase]:
-                    worst[phase] = res
-    return {f"phase{k}": v for k, v in worst.items()}
 
 
 def stefan_residual(sol, t):

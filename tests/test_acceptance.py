@@ -83,7 +83,7 @@ def test_criterion_3_solve_and_verify_benchmark(sol_robin, sol_dirichlet, sol_ne
         assert sol.regime is Regime.THREE_PHASE
         assert 0.0 < sol.coef2 < sol.coef1
         assert sol.coef1 > sol.ctx.z0
-        rep = full_report(sol, rel_step=1e-4)
+        rep = full_report(sol)
         assert max(rep.heat.values()) <= 1e-6
         assert max(rep.interface.values()) <= 1e-10
         assert max(rep.stefan.values()) <= 1e-10

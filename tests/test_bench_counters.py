@@ -96,15 +96,15 @@ def test_verify_does_no_extra_kernel_work():
     res = traced_smoke("verify")
     # the two fixed far-field cases still fail their probe
     assert (res["failed"], res["attempted"]) == (2, 24)
-    # row evaluation makes the same erf calls as evaluating each stencil
-    # point on its own did, the interface probes take erf(coef1*sigma2)
-    # from the solution's cached constants, every check samples one time
-    # and the heat check takes three rows per phase, all at that time
-    # (603 per op at seed 1; 1003 with two more rows at t +/- h_t, 3009
-    # while each check sampled three times)
-    assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 603.0
+    # the heat check evaluates the field kernel at 50 samples of phases 2 and
+    # 3 at each of two times and erf once per sample for their fit, and the
+    # interface probes take erf(coef1*sigma2) from the solution's cached
+    # constants (303 per op at seed 1; 603 while the heat check took three
+    # finite-difference rows of 100 per phase, 3009 while each check sampled
+    # three times)
+    assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 303.0
     # the front positions at t = 1 for the interface and far-field probes;
-    # the windows and the Stefan gradients read the fronts' similarity
+    # the heat check and the Stefan gradients read the fronts' similarity
     # values from the front coefficients (2 per op at seed 1; 4 while they
     # took the fronts in x, 6 with the windows' fronts at t +/- h_t, 19
     # while every stencil row was cut at the fronts again)

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = {
     "sweep": "a0c05f063b6cfa770c342f70c21cf59462c76e3e9d12d8c33a5b3828e4fa90cd",
     "field": "d188c533105ebca853cde6e57baf02b8166232899b93b433238b6618037888db",
-    "verify": "092f8e3300dd3d44df7fd39e4bc077968e8ece66c7e46f8892c82674f5e94ef9",
+    "verify": "d2f40316a867044769d426636b27c7c42c1da1071bfe641c8d0ea6c80cf474e4",
 }
 
 

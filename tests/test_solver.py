@@ -510,18 +510,16 @@ def test_rows_equal_the_point_reference_bit_for_bit(
     t, sol_robin, sol_dirichlet, sol_neumann
 ):
     import _reference as ref
-    from stefan3.solver import profile_row, temperature_row
+    from stefan3.solver import temperature_row
 
     for sol in _row_solutions(sol_robin, sol_dirichlet, sol_neumann):
         rows = _rows_in_any_order(sol, t)
-        assert set(profile_row(sol, t, rows[0])[0]) == {1, 2, 3}
+        assert {phase_profile(sol, x, t)[0] for x in rows[0]} == {1, 2, 3}
         # each band edge splits its one-point rows between two phases
-        edges = [profile_row(sol, t, xs)[0][0] for xs in rows[-6:]]
+        edges = [phase_profile(sol, xs[0], t)[0] for xs in rows[-6:]]
         assert edges == [3, 2, 3, 2, 1, 2]
         for xs in rows:
             want = [ref.phase_profile(sol, x, t) for x in xs]
-            phases, ws = profile_row(sol, t, xs)
-            assert list(zip(phases, ws)) == want
             temps = [ref.evaluate_temperature(sol, x, t) for x in xs]
             assert temperature_row(sol, t, xs) == temps
             # the point functions are one-element rows
@@ -550,12 +548,15 @@ def test_rows_equal_the_point_reference_bit_for_bit(
          "t-negative", "t-inf", "t-nan", "empty-t-zero"],
 )
 def test_profile_row_rejects_points_outside_the_domain(sol_robin, xs, t):
-    from stefan3.solver import profile_row, temperature_row
+    # the row's checks, and phase_profile's at the row's first bad point (or
+    # at a good one, when t is bad)
+    from stefan3.solver import temperature_row
 
     with pytest.raises(ValueError):
-        profile_row(sol_robin, t, xs)
-    with pytest.raises(ValueError):
         temperature_row(sol_robin, t, xs)
+    x = next((x for x in xs if not (math.isfinite(x) and x >= 0.0)), 0.01)
+    with pytest.raises(ValueError):
+        phase_profile(sol_robin, x, t)
 
 
 def test_a_single_point_runs_one_phase_kernel(sol_robin, monkeypatch):
@@ -580,7 +581,6 @@ def test_a_single_point_runs_one_phase_kernel(sol_robin, monkeypatch):
 
 
 def test_empty_row(sol_robin):
-    from stefan3.solver import profile_row, temperature_row
+    from stefan3.solver import temperature_row
 
-    assert profile_row(sol_robin, 1.0, []) == ([], [])
     assert temperature_row(sol_robin, 1.0, []) == []

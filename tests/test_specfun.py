@@ -208,3 +208,22 @@ def test_inv_erfcx_continuity_at_switchover():
     for x in [5.999999, 6.0, 6.000001, 7.0, 10.0, 26.0]:
         ref = float(mpmath.exp(-mpmath.mpf(x) ** 2) / mpmath.erfc(mpmath.mpf(x)))
         assert specfun._inv_erfcx(x) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("f, hi", [(specfun.erf, 2.0), (specfun.erfc, 26.0)])
+def test_erf_and_erfc_solve_the_similarity_heat_equation(f, hi):
+    # f'' + 2*eta*f' = 0 is what makes a + b*f(x/(2*sqrt(alpha*t))) a
+    # solution of the heat equation, so verify's heat check takes it from
+    # here.  Central differences over the eta the phases of a wide family
+    # span, with a step that shrinks as 1/eta with the profile's own scale;
+    # erf stops at 2, past which erf'' = -erfc'' is taken on erfc, which
+    # holds its relative digits to the last normal erfc
+    worst = 0.0
+    for j in range(400):
+        eta = 1e-3 * (hi / 1e-3) ** (j / 399)
+        h = 3e-4 / max(1.0, eta)
+        wm, w0, wp = f(eta - h), f(eta), f(eta + h)
+        d_xx = (wp - 2.0 * w0 + wm) / (h * h)
+        d_t = -eta * (wp - wm) / h
+        worst = max(worst, abs(d_t - d_xx) / max(abs(d_t), abs(d_xx)))
+    assert worst < 1e-6

@@ -2,14 +2,15 @@
 
 import json
 import math
-import re
+import sys
 
 import pytest
 
 from stefan3 import (
+    Dirichlet,
+    Neumann,
     ResidualReport,
-    StencilCrossesFront,
-    ValidationError,
+    Robin,
     far_field_residual,
     full_report,
     heat_residual,
@@ -17,18 +18,24 @@ from stefan3 import (
     perturbed,
     solve,
     stefan_residual,
+    thresholds,
+    verify,
 )
+from stefan3.solver import free_boundaries, phase_profile
 from stefan3.verify import (
     BOUNDARY_TOL,
     FAR_FIELD_TOL,
+    HEAT_SAMPLES,
+    HEAT_TIMES,
     HEAT_TOL,
     INTERFACE_TOL,
     STEFAN_TOL,
-    _phase_windows,
 )
 import _expected as E
 import _reference as ref
-from _random_sets import wide_sets
+from _random_sets import make_sets, wide_sets
+
+EPS = sys.float_info.epsilon
 
 
 def test_benchmark_solutions_pass_everywhere(sol_robin, sol_dirichlet, sol_neumann):
@@ -44,24 +51,11 @@ def test_benchmark_solutions_pass_everywhere(sol_robin, sol_dirichlet, sol_neuma
 
 
 def test_heat_residual_well_below_tolerance(sol_robin):
-    # rounding floor at the default step sits two orders under the gate
+    # a true field departs from its affine form by rounding alone (0.78 eps
+    # at most), six orders under the gate
     res = heat_residual(sol_robin)
-    assert max(res.values()) < 5e-7
-
-
-def test_heat_residual_second_order_ladder(sol_robin):
-    # where truncation dominates, halving the step divides the residual by 4
-    maxima = [
-        max(heat_residual(sol_robin, rel_step=rs).values())
-        for rs in (4e-3, 2e-3, 1e-3)
-    ]
-    for coarse, fine in zip(maxima, maxima[1:]):
-        assert 2.5 < coarse / fine < 6.0
-
-
-def test_heat_residual_single_point_smoke(sol_neumann):
-    res = heat_residual(sol_neumann, n_points=1)
-    assert max(res.values()) < HEAT_TOL
+    assert set(res) == {"phase1", "phase2", "phase3"}
+    assert max(res.values()) < 4.0 * EPS
 
 
 def test_interface_exact_by_construction(sol_dirichlet):
@@ -161,40 +155,57 @@ def test_perturbation_both_coefficients_fails(sol_dirichlet, sol_neumann):
         assert any(f.startswith("stefan") for f in rep.failures())
 
 
-def test_coarse_step_has_no_room(sol_robin):
-    with pytest.raises(StencilCrossesFront):
-        heat_residual(sol_robin, rel_step=0.2)
-    with pytest.raises(StencilCrossesFront):
-        _phase_windows(sol_robin, 0.2)
-
-
+# the steps the finite-difference heat check once took, none of them usable
 @pytest.mark.parametrize("rel_step", [1e-200, 1e-160, 0.0, -1e-4, math.nan])
 def test_step_whose_square_is_not_normal_is_rejected(sol_robin, rel_step):
-    # the second difference divides by h*h, which underflows below ~1e-154
-    with pytest.raises(ValidationError) as exc:
+    # the heat check takes no step, so full_report has none to be given: a
+    # caller still passing one fails loudly rather than being ignored
+    with pytest.raises(TypeError, match="rel_step"):
         full_report(sol_robin, rel_step=rel_step)
-    assert [v.code for v in exc.value.violations] == ["BAD_REL_STEP"]
 
 
 @pytest.mark.parametrize("rel_step", [1e-150, 1e-20, 1e-16])
 def test_step_too_fine_to_clear_a_front_is_rejected(
     sol_robin, sol_dirichlet, sol_neumann, rel_step
 ):
-    # a window's first stencil point would round into the band above a front
+    # no stencil has to clear a front any more, and heat_residual has no step
     for sol in (sol_robin, sol_dirichlet, sol_neumann):
-        with pytest.raises(ValidationError) as exc:
-            full_report(sol, rel_step=rel_step)
-        (v,) = exc.value.violations
-        assert v.code == "BAD_REL_STEP" and "too fine" in v.message
+        with pytest.raises(TypeError, match="rel_step"):
+            heat_residual(sol, rel_step=rel_step)
 
 
-def test_windows_clear_the_fronts(sol_neumann):
-    # each window in its phase's own variable, between the fronts there
+def _kernel_calls(monkeypatch, check, sol):
+    # every (phase, t, xs) the check hands the field kernel
+    calls, kernel = [], verify._phase_excess
+
+    def spy(sol, phase, t, xs):
+        calls.append((phase, t, list(xs)))
+        return kernel(sol, phase, t, xs)
+
+    monkeypatch.setattr(verify, "_phase_excess", spy)
+    check(sol)
+    monkeypatch.undo()
+    return calls
+
+
+def test_windows_clear_the_fronts(sol_neumann, monkeypatch):
+    # each phase is sampled from x = 0 or the front below up to the front
+    # above (three diffusion lengths past the outer front in phase 1), in x
+    # at each time, HEAT_SAMPLES evenly spaced samples
     c, (k1, k2) = sol_neumann.ctx, (sol_neumann.coef1, sol_neumann.coef2)
-    win = _phase_windows(sol_neumann, 1e-4)
-    assert 0.0 < win[3][0] < win[3][1] < k2 * c.sigma3
-    assert k2 * c.sigma2 < win[2][0] < win[2][1] < k1 * c.sigma2
-    assert k1 < win[1][0] < win[1][1]
+    ends = {3: (0.0, k2 * c.sigma3), 2: (k2 * c.sigma2, k1 * c.sigma2),
+            1: (k1, k1 + 3.0)}
+    calls = _kernel_calls(monkeypatch, heat_residual, sol_neumann)
+    assert [(phase, t) for phase, t, _ in calls] == [
+        (phase, t) for phase in (1, 2, 3) for t in HEAT_TIMES]
+    for phase, t, xs in calls:
+        d = 2.0 * math.sqrt(c.alphas[phase - 1] * t)
+        etas = [x / d for x in xs]
+        assert len(etas) == HEAT_SAMPLES
+        assert etas[0] == pytest.approx(ends[phase][0], rel=4 * EPS, abs=0.0)
+        assert etas[-1] == pytest.approx(ends[phase][1], rel=4 * EPS)
+        steps = [b - a for a, b in zip(etas, etas[1:])]
+        assert max(steps) == pytest.approx(min(steps), rel=1e-9)
 
 
 def test_report_serialization(sol_robin):
@@ -209,7 +220,7 @@ def test_report_serialization(sol_robin):
         "boundary",
         "far_field",
     }
-    assert d["tolerances"]["heat"] == 1e-6
+    assert d["tolerances"]["heat"] == 1e-10
 
 
 def test_failures_name_each_offender():
@@ -232,98 +243,62 @@ def test_failures_name_each_offender():
     assert rep.failures() == ["stefan:front1", "boundary"]
 
 
-# the default step, and the second-order ladder
-@pytest.mark.parametrize("rel_step", [1e-4, 4e-3, 2e-3, 1e-3])
+# perturbation sizes: the check equals its point-by-point loop on wrong
+# solutions too, whose fields are as affine as the true one's
+@pytest.mark.parametrize("eps", [1e-4, 4e-3, 2e-3, 1e-3])
 def test_heat_residual_equals_the_point_by_point_loop(
-    rel_step, sol_robin, sol_dirichlet, sol_neumann
+    eps, sol_robin, sol_dirichlet, sol_neumann
 ):
     for sol in (sol_robin, sol_dirichlet, sol_neumann):
-        try:
-            want = ref.heat_residual(sol, rel_step)
-        except StencilCrossesFront as exc:
-            # the coarse steps leave the thinner phase 3 no room
-            with pytest.raises(StencilCrossesFront, match=re.escape(str(exc))):
-                heat_residual(sol, rel_step)
-            assert sol is not sol_robin
-        else:
-            assert heat_residual(sol, rel_step) == want
-    # one point skips the geometric spacing; two is the shortest spacing
-    for n in (1, 2):
-        assert heat_residual(sol_robin, n_points=n) == ref.heat_residual(
-            sol_robin, n_points=n
-        )
+        for s in (sol, perturbed(sol, eps, -eps)):
+            got, want = heat_residual(s), ref.heat_residual(s)
+            assert set(got) == set(want)
+            # the loop takes erfc(eta)/erfc(coef1) plainly, not in ratio form
+            for key in got:
+                assert got[key] == pytest.approx(want[key], rel=0.0, abs=4 * EPS)
 
 
 @pytest.mark.parametrize("n_points", [0, -3])
-def test_heat_check_without_samples_is_rejected(sol_robin, n_points):
-    # no sample would leave every phase at 0, a pass that checked nothing
-    with pytest.raises(ValueError, match="n_points must be >= 1"):
+def test_heat_check_without_samples_is_rejected(sol_robin, monkeypatch, n_points):
+    # the sample count is no parameter, so no caller can ask for a check
+    # that samples nothing and passes; every phase is sampled at each time
+    with pytest.raises(TypeError, match="n_points"):
         heat_residual(sol_robin, n_points=n_points)
-    with pytest.raises(ValueError, match="n_points must be >= 1"):
+    with pytest.raises(TypeError, match="n_points"):
         full_report(sol_robin, n_points=n_points)
-
-
-def _failing_phases(check, sol):
-    try:
-        return sorted(k for k, v in check(sol).items() if v > HEAT_TOL)
-    except (StencilCrossesFront, ValidationError) as exc:
-        return type(exc)
+    calls = _kernel_calls(monkeypatch, heat_residual, sol_robin)
+    assert sorted(phase for phase, _, _ in calls) == [1, 1, 2, 2, 3, 3]
+    assert {len(xs) for _, _, xs in calls} == {HEAT_SAMPLES} and HEAT_SAMPLES >= 3
 
 
 def test_one_time_measures_what_three_did(sol_robin, sol_dirichlet, sol_neumann):
-    # every stencil in x scales with sqrt(t), so the check in x at t = 0.1,
-    # 1 and 10 samples the same similarity values as the check in eta: the
-    # one gives the three times' verdicts
+    # a true field's affine coefficients do not change in time, so held to
+    # them at t = 0.1, 1 and 10 it reads the same rounding as at the check's
+    # two times: the same verdicts
     sols = [sol_robin, sol_dirichlet, sol_neumann] + [
         solve(s["ctx"].with_bc(s[kind]))
         for s in wide_sets(20) for kind in ("robin", "dirichlet", "neumann")
     ]
-
-    def three(sol):
-        return ref.heat_residual_x(sol, times=(0.1, 1.0, 10.0))
-
     for sol in sols:
-        one = _failing_phases(heat_residual, sol)
-        assert one == _failing_phases(three, sol)
-        if not isinstance(one, type):
-            assert heat_residual(sol) == ref.heat_residual(sol)
+        three = ref.heat_residual(sol, times=(0.1, 1.0, 10.0))
+        two = heat_residual(sol)
+        assert max(three.values()) <= HEAT_TOL and max(two.values()) <= HEAT_TOL
 
 
-# the finest steps, where a stencil's lowest points near the band above a
-# front, the default step and the coarse end of the refinement ladder
-WINDOW_STEPS = (1e-16, 1e-15, 5e-15, 8e-15, 1e-14, 1.5e-14, 2e-14,
-                1e-12, 1e-8, 1e-4, 1e-3, 4e-3)
-
-
-def test_accepted_windows_hold_every_stencil_point():
-    # _phase_windows is the verifier's only containment check: every window
-    # it accepts keeps all three stencil rows of heat_residual inside the
-    # phase, by the solver's own point-by-point classification at the x
-    # of each eta
-    from stefan3.solver import profile_row
-
-    accepted, strays = 0, []
+def test_accepted_windows_hold_every_stencil_point(monkeypatch):
+    # the heat check samples the field kernel where temperature_row and map
+    # use it: every sample between a phase's two ends lies in that phase by
+    # the solver's own cut, at each of the check's times
+    strays, samples = [], 0
     for s in wide_sets(60):
         for kind in ("robin", "dirichlet", "neumann"):
             sol = solve(s["ctx"].with_bc(s[kind]))
-            for rel_step in WINDOW_STEPS:
-                try:
-                    windows = _phase_windows(sol, rel_step)
-                except (StencilCrossesFront, ValidationError):
-                    continue
-                accepted += 1
-                for phase, (lo, hi) in windows.items():
-                    scale = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1])
-                    etas = [lo * (hi / lo) ** (j / 99) for j in range(100)]
-                    strays += [
-                        (kind, rel_step, phase, x)
-                        for h in (0.0, -rel_step, rel_step)
-                        for row in ([scale * (e + h) for e in etas],)
-                        for x, k in zip(row, profile_row(sol, 1.0, row)[0])
-                        if k != phase
-                    ]
+            for phase, t, xs in _kernel_calls(monkeypatch, heat_residual, sol):
+                samples += len(xs) - 2
+                strays += [(kind, phase, t, x) for x in xs[1:-1]
+                           if phase_profile(sol, x, t)[0] != phase]
     assert strays == []
-    assert accepted >= 1600  # the property is not checked on nothing
+    assert samples == 180 * 6 * (HEAT_SAMPLES - 2)
 
 
 def test_similarity_form_passes_where_the_time_difference_failed():
@@ -349,3 +324,79 @@ def test_kernel_with_a_wrong_diffusivity_fails_at_every_front(
         lambda sol, phase, t, xs: excess(sol, phase, 1.001 * t, xs))
     for sol in (sol_robin, sol_dirichlet, sol_neumann):
         assert min(interface_residual(sol).values()) >= 1e-5 > INTERFACE_TOL
+
+
+def _straight_phase2(kernel):
+    # phase 2 as the straight line in x between its two front values
+    def faulty(sol, phase, t, xs):
+        if phase != 2:
+            return kernel(sol, phase, t, xs)
+        x2, x1 = free_boundaries(sol, t)
+        t_ = sol.ctx.temps
+        return [(t_.C - t_.D) + (t_.B - t_.C) * (x1 - x) / (x1 - x2) for x in xs]
+    return faulty
+
+
+def _scaled_phase2(kernel, alpha=1.0, time=1.0):
+    # phase 2's own formula with its alpha, or its t, scaled
+    def faulty(sol, phase, t, xs):
+        if phase != 2:
+            return kernel(sol, phase, t, xs)
+        return kernel(sol, 2, time * t, [x / math.sqrt(alpha) for x in xs])
+    return faulty
+
+
+FAULTS = {
+    "straight": _straight_phase2,
+    "alpha": lambda k: _scaled_phase2(k, alpha=1.001),
+    "time": lambda k: _scaled_phase2(k, time=1.3),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_phase2_kernel_off_its_affine_form_fails_heat(
+    fault, sol_robin, sol_dirichlet, sol_neumann, monkeypatch
+):
+    # the heat check reads the kernel map writes: a field that is not a +
+    # b*erf of its phase's eta fails it, however close it comes at the fronts
+    from stefan3 import solver
+
+    faulty = FAULTS[fault](solver._phase_excess)
+    monkeypatch.setattr(solver, "_phase_excess", faulty)
+    monkeypatch.setattr(verify, "_phase_excess", faulty)
+    for sol in (sol_robin, sol_dirichlet, sol_neumann):
+        heat = heat_residual(sol)
+        assert heat["phase2"] > 100.0 * HEAT_TOL, (sol.kind, heat)
+        assert max(heat["phase1"], heat["phase3"]) < 4.0 * EPS
+        assert "heat:phase2" in full_report(sol).failures()
+
+
+def test_a_wide_family_verifies_and_its_controls_fail():
+    # over 1,050 solves nothing raises, no true field fails the heat check,
+    # and every control with both coefficients 1e-6 off fails the report
+    count = 0
+    for sets in (wide_sets(300), make_sets(50)):
+        for s in sets:
+            for kind in ("robin", "dirichlet", "neumann"):
+                sol = solve(s["ctx"].with_bc(s[kind]))
+                assert max(heat_residual(sol).values()) <= HEAT_TOL
+                assert not full_report(perturbed(sol, 1e-6, 1e-6)).passes
+                count += 1
+    assert count == 1050
+
+
+def test_data_near_the_upper_thresholds_and_large_data_pass_heat(ctx_plain):
+    # a thin phase 3 once left a stencil no room (StencilCrossesFront), and
+    # erf near 1 cancelled in the stencil at q0 = 1e6*q2 (7.1e-5 and 1.0e-5
+    # in phases 2 and 3); the affine check reads rounding on all of them
+    th = thresholds(ctx_plain, 334.0)
+    for bc in (
+        Neumann(q0=th.q2 * (1.0 + 1e-2)),
+        Neumann(q0=th.q2 * (1.0 + 1e-3)),
+        Robin(h0=th.h2 * (1.0 + 1e-3), A_inf=334.0),
+        Dirichlet(A=ctx_plain.temps.B + 3e-3),
+        Neumann(q0=1e6 * th.q2),
+    ):
+        rep = full_report(solve(ctx_plain.with_bc(bc)))
+        assert max(rep.heat.values()) < 4.0 * EPS, (bc, rep.heat)
+        assert not [f for f in rep.failures() if f.startswith("heat")]
