@@ -185,21 +185,27 @@ def cmd_map(args) -> int:
         xmax = 2.0 * free_boundaries(sol, tmax)[1]
     ts = [tmax * (i + 1) / nt for i in range(nt)]
     xs = [xmax * j / (nx - 1) for j in range(nx)]
-    x_cells = [f"{x!r}," for x in xs]
+    # both lists ascend, so their ends bound every point
+    if not (ts[0] > 0.0 and math.isfinite(ts[-1]) and math.isfinite(xs[-1])):
+        raise ValidationError([Violation(
+            "BAD_GRID", f"grid points overflow or underflow: t runs from "
+            f"{ts[0]!r} to {ts[-1]!r} and x to {xs[-1]!r}")])
+    t_cells = [f"{t!r}," for t in ts]
+    # x, t, temperature and newline cells per point, reused for every row
+    cells = ["\n"] * (4 * nx)
+    cells[0::4] = [f"{x!r}," for x in xs]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,t,temperature\n")
-        for t in ts:
-            t_cell = f"{t!r},"
-            fh.write("".join([
-                f"{x_cell}{t_cell}{temp!r}\n"
-                for x_cell, temp in zip(x_cells, temperature_row(sol, t, xs))
-            ]))
+        for t, t_cell in zip(ts, t_cells):
+            cells[1::4] = [t_cell] * nx
+            cells[2::4] = map(repr, temperature_row(sol, t, xs))
+            fh.write("".join(cells))
     fronts = _fronts_path(args.out)
     with open(fronts, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x2,x1\n")
-        for t in ts:
+        for t, t_cell in zip(ts, t_cells):
             x2, x1 = free_boundaries(sol, t)
-            fh.write(f"{t!r},{x2!r},{x1!r}\n")
+            fh.write(f"{t_cell}{x2!r},{x1!r}\n")
     log.info("wrote %d rows to %s and %d rows to %s", nx * nt, args.out, nt,
              fronts)
     return 0

@@ -301,7 +301,7 @@ def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
 
 
 def _profile(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
-    # the given phase's profile at every x of xs, a slice _row has cut to
+    # the given phase's profile at every x of xs, a slice _cut has cut to
     # that phase.  erf and erfc are looked up per call, so wrappers
     # installed on specfun see them all.
     d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
@@ -326,19 +326,17 @@ def _phase_excess(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -
     return [solid * f(x / d) / erfc1 for x in xs]
 
 
-def _row(sol: ThreePhaseSolution, t: float, xs: Sequence[float], kernel) -> tuple:
-    # (phases, values) at every x of xs: kernel(sol, phase, t, slice) on
-    # each non-empty phase slice of the ascending row, put back in xs's order
+def _row(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> list:
+    # the excess above D at every x of xs: _phase_excess on each non-empty
+    # phase slice of the ascending row, put back in xs's order
     asc, order, cuts = _cut(sol, t, xs)
-    phases, values = [], []
+    values = []
     for phase, (lo, hi) in cuts.items():
         if lo < hi:
-            phases += [phase] * (hi - lo)
-            values += kernel(sol, phase, t, asc[lo:hi])
+            values += _phase_excess(sol, phase, t, asc[lo:hi])
     if order is not None:  # back to xs's order
-        phases, values = (
-            [v for _, v in sorted(zip(order, vs))] for vs in (phases, values))
-    return phases, values
+        values = [v for _, v in sorted(zip(order, values))]
+    return values
 
 
 def temperature_row(
@@ -355,7 +353,7 @@ def temperature_row(
             positive number.
     """
     d = sol.ctx.temps.D
-    return [d + e for e in _row(sol, t, xs, _phase_excess)[1]]
+    return [d + e for e in _row(sol, t, xs)]
 
 
 def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
@@ -365,7 +363,7 @@ def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
     floating-point granularity matches the temperature differences that
     drive the physics, which downstream difference-based checks rely on.
     """
-    return _row(sol, t, (x,), _phase_excess)[1][0]
+    return _row(sol, t, (x,))[0]
 
 
 def evaluate_temperature(sol: ThreePhaseSolution, x: float, t: float) -> float:
@@ -383,8 +381,8 @@ def phase_profile(sol: ThreePhaseSolution, x: float, t: float) -> tuple[int, flo
     alone with perfect relative conditioning.  It cuts and raises as
     temperature_row.
     """
-    phases, ws = _row(sol, t, (x,), _profile)
-    return phases[0], ws[0]
+    phase = next(p for p, (lo, hi) in _cut(sol, t, (x,))[2].items() if lo < hi)
+    return phase, _profile(sol, phase, t, (x,))[0]
 
 
 def surface_values(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:

@@ -337,7 +337,11 @@ def stefan_residual(sol, t):
 
 
 def map_csv(sol, tmax, nx, nt, xmax=None):
-    """The text ``stefan3 map`` writes for this grid, one point at a time."""
+    """The texts ``stefan3 map`` writes for this grid, one point at a time.
+
+    Returns (field, fronts): the field CSV and the fronts CSV, the latter
+    with one ``free_boundaries`` call per t.
+    """
     if xmax is None:
         xmax = 2.0 * free_boundaries(sol, tmax)[1]
     ts = [tmax * (i + 1) / nt for i in range(nt)]
@@ -346,4 +350,8 @@ def map_csv(sol, tmax, nx, nt, xmax=None):
     for t in ts:
         for x in xs:
             lines.append(f"{x!r},{t!r},{evaluate_temperature(sol, x, t)!r}\n")
-    return "".join(lines)
+    fronts = ["t,x2,x1\n"]
+    for t in ts:
+        x2, x1 = free_boundaries(sol, t)
+        fronts.append(f"{t!r},{x2!r},{x1!r}\n")
+    return "".join(lines), "".join(fronts)

@@ -90,6 +90,9 @@ def test_field_writes_every_row():
     # one erf call per liquid-phase point, as evaluating each point on its
     # own made (1053.625 per op at seed 1)
     assert res["metrics"]["specfun.erf.calls_per_op"]["value"] <= 1053.625
+    # the front positions: one for the default xmax, one per row's cut and
+    # one per fronts row (110 per op at seed 1)
+    assert res["metrics"]["solver.free_boundaries.calls_per_op"]["value"] <= 110.0
 
 
 def test_verify_does_no_extra_kernel_work():

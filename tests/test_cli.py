@@ -177,9 +177,14 @@ def test_map_writes_field_and_fronts(capsys, tmp_path, write_config):
         ["--tmax", "inf"],
         ["--tmax", "nan"],
         ["--tmax", "0"],
+        # finite and positive, but the grid's last x or t overflows or its
+        # first t underflows to 0
+        ["--xmax", "1e308", "--nx", "3"],
+        ["--tmax", "1e308", "--nt", "3"],
+        ["--tmax", "5e-324", "--nt", "2"],
     ],
     ids=["nx-1", "nt-0", "xmax-negative", "xmax-nan", "xmax-inf", "tmax-inf",
-         "tmax-nan", "tmax-0"],
+         "tmax-nan", "tmax-0", "xmax-overflow", "tmax-overflow", "tmax-underflow"],
 )
 def test_map_rejects_degenerate_grid(capsys, tmp_path, robin_config, grid):
     code, _, err = run_cli(
@@ -215,14 +220,15 @@ def test_map_bytes_equal_a_point_by_point_writer(
     assert code == 0
     args = dict(zip(grid[::2], grid[1::2]))
     sol = solve(ProblemContext(*config_from_dict(cfg)))
-    want = ref.map_csv(
+    field, fronts = ref.map_csv(
         sol,
         float(args.get("--tmax", 10.0)),
         int(args["--nx"]),
         int(args["--nt"]),
         float(args["--xmax"]) if "--xmax" in args else None,
     )
-    assert out.read_bytes() == want.encode("utf-8")
+    assert out.read_bytes() == field.encode("utf-8")
+    assert (tmp_path / "field.fronts.csv").read_bytes() == fronts.encode("utf-8")
 
 
 def test_verify_passes_then_fails_when_perturbed(capsys, robin_config):
