@@ -242,8 +242,9 @@ def solve_robin(ctx: ProblemContext) -> ThreePhaseSolution:
     Raises:
         MissingBoundaryDatum: Context has no convective datum.
         RegimeError: h0 is at or below the two-phase threshold.
-        RootFailure: The bracketed search failed (seen for data within
-            about 1e-12 of the threshold, see _outer_bracket).
+        RootFailure: The residual overflowed before a sign change (h0
+            within about 1e-12 of h2: the search's lower end z0 + 1e-12, see
+            _outer_bracket, already lies past the root).
     """
     return _solve_outer(_of_kind(ctx, "robin"))
 

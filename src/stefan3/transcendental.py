@@ -8,7 +8,7 @@ the front coefficients:
   increasing, and its unique positive zero ``z0`` bounds the admissible
   outer front coefficient from below.  Above z0, ``coef2_from_coef1``
   solves erf(coef2*sigma2) = h(z) for the inner coefficient matched to an
-  outer one.  ``_h_kernel`` evaluates h for the z0 search.
+  outer one.  ``_h_kernel`` evaluates h and its slope for the z0 search.
 * ``SurfaceLaw``: one record per boundary kind, looked up by the datum's
   class through ``surface_law``.  The kinds differ only in the surface
   law theta*s + (1 - theta)*(T(0) - B) = n on the phase-3 amplitude s, and
@@ -18,8 +18,10 @@ the front coefficients:
 * ``outer_residual``: the single remaining equation for the outer
   coefficient, one form for every kind, built once per solve: q(z) =
   (l1/l2) phi(z) exp(z^2 alpha1/alpha2) against the law at the matched
-  inner coefficient.  It hoists every per-problem constant and evaluates
-  phi once per point.
+  inner coefficient.  It hoists every per-problem constant, evaluates
+  phi once per point and returns the slope with the value.
+* ``find_root_monotone``: Newton steps on those slopes inside a sign
+  bracket, for z0 and for the outer coefficient.
 
 The point-by-point forms live in the tests' reference module,
 ``tests/_reference.py``: ``h_func``, ``q_func`` and the law's
@@ -63,12 +65,9 @@ _EXP_CAP = 690.0
 # subnormal is about 27.2, of the smallest normal double about 26.5).
 _INNER_SATURATION = 30.0
 
-# The root search may stop once its bracket is this narrow.
-_XTOL = 1e-14
-
-# Steps the root search may take beyond bisection's count on its way to an
-# _XTOL-wide bracket; they are the room its interpolation steps get.
-_SLACK_STEPS = 4
+# Steps the root search may take beyond bisection's count to narrow a sign
+# bracket; past them it bisects until the bracket is back within budget.
+_SPARE_STEPS = 4
 
 
 class _cached:
@@ -82,10 +81,6 @@ class _cached:
             return self
         value = instance.__dict__[self.name] = self.func(instance)
         return value
-
-
-def _exp_capped(x: float) -> float:
-    return math.exp(min(x, _EXP_CAP))
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ class ProblemContext:
     @_cached
     def z0(self) -> float:
         """Unique positive zero of h, found by find_root_monotone."""
-        return find_root_monotone(_h_kernel(self), 0.0, tol=1e-13)
+        return find_root_monotone(_h_kernel(self), 0.0)
 
     @_cached
     def _erf_z0(self) -> float:
@@ -227,19 +222,27 @@ def coef2_from_coef1(z: float, ctx: ProblemContext) -> float:
     return math.sqrt(ctx.alpha2 / ctx.alpha1) * scaled
 
 
-def _h_kernel(ctx: ProblemContext) -> Callable[[float], float]:
-    # h for z >= 0 with the per-material constants hoisted.  The kernels
-    # are bound here, once per search, so wrappers installed on specfun see
-    # every call.
-    erf, inv_erfcx = specfun.erf, specfun._inv_erfcx
+def _h_kernel(ctx: ProblemContext) -> Callable[[float], tuple[float, float]]:
+    # (h, h') for z >= 0 with the per-material constants hoisted.  The
+    # kernels are bound here, once per search, so wrappers installed on
+    # specfun see every call.  With g = exp(-z^2)/erfc(z), phi = z + ste*g,
+    # x = exp(-z^2 alpha1/alpha2) and u = offset*x/phi (the term h
+    # subtracts): g' = g*((2/sqrt(pi))*g - 2z), phi' = 1 + ste*g' and h' =
+    # (2 sigma2/sqrt(pi))*x + u*(2z sigma2^2 + phi'/phi).
+    erf, inv_erfcx, exp = specfun.erf, specfun._inv_erfcx, math.exp
     a1, a2, _ = ctx.alphas
     sigma2, offset = ctx.sigma2, ctx._h_offset_coef
     ste = ctx.ste1 / _SQRT_PI
+    rate, peak = 2.0 * a1 / a2, 2.0 / _SQRT_PI * sigma2
+    ste_g, ste_z = 2.0 / _SQRT_PI * ste, 2.0 * ste
 
-    def h(z: float) -> float:
-        return erf(z * sigma2) - offset * math.exp(-z * z * a1 / a2) / (
-            z + ste * inv_erfcx(z)
-        )
+    def h(z: float) -> tuple[float, float]:
+        g = inv_erfcx(z)
+        ph = z + ste * g
+        x = exp(-z * z * a1 / a2)
+        u = offset * x / ph
+        dph = 1.0 + g * (ste_g * g - ste_z * z)
+        return erf(z * sigma2) - u, peak * x + u * (rate * z + dph / ph)
 
     return h
 
@@ -291,11 +294,11 @@ def surface_law(bc: Optional[BoundarySpec]) -> SurfaceLaw:
     return law
 
 
-def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
+def outer_residual(ctx: ProblemContext) -> Callable[[float], tuple[float, float]]:
     """The outer-coefficient equation, the same for every boundary kind.
 
-    Returns a strictly increasing function of the outer coefficient z > z0
-    whose zero is the solved coef1:
+    Returns a function of the outer coefficient z > z0 that gives (value,
+    slope) of a strictly increasing residual whose zero is the solved coef1:
 
         w*(q(z) + m*exp(m^2 alpha1/alpha2)) - d*n*exp(-m^2 (alpha1/alpha3
         - alpha1/alpha2))
@@ -306,14 +309,16 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
     with s = n/w, times w, so it stays finite at m = 0.  The law is read
     and every per-problem constant computed when the function is built,
     phi runs once per evaluation and erf does not run for theta = 1.  The
-    specfun kernels are bound when it is built, so build one per solve.
+    slope is the chain rule through m, from values the evaluation already
+    has; past the exp() cap it keeps only its sign.  The specfun kernels
+    are bound when it is built, so build one per solve.
 
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
     """
     theta, n = surface_law(ctx.bc).read(ctx)
     erf, erfc, erfc_inv = specfun.erf, specfun.erfc, specfun.erfc_inv
-    inv_erfcx = specfun._inv_erfcx
+    inv_erfcx, exp = specfun._inv_erfcx, math.exp
     p = ctx.props
     a1, a2, a3 = ctx.alphas
     sigma2, sigma3, offset = ctx.sigma2, ctx.sigma3, ctx._h_offset_coef
@@ -322,141 +327,131 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], float]:
     inner_scale = math.sqrt(a2 / a1)
     rest, spread = 1.0 - theta, a1 / a3 - a1 / a2
     drive = n / (p.l2 * _SQRT_PI) * math.sqrt(p.k3 * p.c1 * p.c3 / p.k1)
+    # the slope's constants: _h_kernel's, m' = pull*h'*exp(m^2 alpha1/alpha2)
+    # from erf(m*sigma2) = h(z), and those of w' and of the drive's exp
+    rate, peak = 2.0 * a1 / a2, 2.0 / _SQRT_PI * sigma2
+    ste_g, ste_z = 2.0 / _SQRT_PI * ste, 2.0 * ste
+    pull, rest_peak = inner_scale * _SQRT_PI / 2.0, rest * 2.0 / _SQRT_PI * sigma3
+    drive_spread = 2.0 * drive * spread
 
-    def residual(z: float) -> float:
+    def residual(z: float) -> tuple[float, float]:
         e = z * z * a1 / a2
-        ph = z + ste * inv_erfcx(z)
+        g = inv_erfcx(z)
+        ph = z + ste * g
+        x = exp(-e)
+        u = offset * x / ph
         # coef2_from_coef1's complementary tail, then its inversion, which
         # raises ValueError for a tail of 2 or more (z far below z0)
-        tail = erfc(z * sigma2) + offset * math.exp(-e) / ph
+        tail = erfc(z * sigma2) + u
         scaled = erfc_inv(tail) if tail > 0.0 else _INNER_SATURATION
         m = max(inner_scale * scaled, 0.0)
         w = theta + rest * erf(m * sigma3) if rest else 1.0
-        return w * (
-            latent * ph * _exp_capped(e) + m * _exp_capped(m * m * a1 / a2)
-        ) - drive * math.exp(-m * m * spread)
+        big_m = exp(min(m * m * a1 / a2, _EXP_CAP))
+        q = latent * ph * exp(min(e, _EXP_CAP))
+        left, far = q + m * big_m, exp(-m * m * spread)
+        # the slope by the chain rule, with k = q'/q and h' = peak*x + u*k
+        # as in _h_kernel, and exp(-m^2 alpha1/alpha3) = far/big_m in w'
+        k = rate * z + (1.0 + g * (ste_g * g - ste_z * z)) / ph
+        dm = pull * (peak * x + u * k) * big_m
+        return w * left - drive * far, w * q * k + dm * (
+            rest_peak * far / big_m * left + w * big_m * (1.0 + rate * m * m)
+            + drive_spread * m * far)
 
     return residual
 
 
 def find_root_monotone(
-    f: Callable[[float], float], lo: float, tol: float = 1e-12
+    f: Callable[[float], tuple[float, float]], lo: float
 ) -> float:
-    """Root of a monotone function by a sign-bracketed interpolation search.
+    """Root of a monotone function by Newton steps inside a sign bracket.
 
-    The upper bracket starts at 1, or at lo + 1 when lo is 1 or more, and
-    is doubled until the sign changes, at most 200 times; the last end
-    that did not change sign becomes the lower end.  The search then keeps a
-    bracket on which f changes sign.  Each step interpolates the
-    inverse of f through the last three points (a secant through the
-    bracket ends when that falls outside it) and takes the midpoint instead
-    when the step is not below half the one before last, as Brent (1973)
-    does.  An estimate closer than 5e-15 to the better end moves to 5e-15
-    from it, toward the other end, so converging estimates move the far
-    end too and the bracket closes.  Each point is then projected onto a
-    shrinking interval around the midpoint, as in the ITP method (Oliveira
-    and Takahashi, ACM TOMS 47(1), 2020).  That projection is the
-    worst-case bound: where bisection needs n steps to narrow the bracket
-    to 1e-14, this search needs at most n + 4, however f behaves.
+    f returns (value, slope).  Each step is Newton's from the bracket end
+    with the smaller |f| (rtsafe; Press et al., Numerical Recipes, 9.4).
+    Each end keeps the difference quotient of its slope with that of the
+    point it replaced on its side (a new end takes the other end's), which
+    predicts a step's error as curve*step^2/(2 f').  A step predicted right
+    to within a quarter of its length is taken, moved past the predicted
+    root by that error so that converging steps close the bracket.  Any
+    other step falls back to the midpoint if it leaves the bracket, is not
+    below half the step before last (Brent, 1973), or comes while the
+    bracket is wider than bisection's after as many steps and _SPARE_STEPS
+    more, so the worst case stays near bisection's count.
 
-    The search stops when the bracket is at most 1e-14 wide and the better
-    end's residual is at most ``tol``.  Past 1e-14 it bisects until the
-    residual bound holds or float spacing cannot split the bracket, as
-    bisection does.  Every step is a fixed sequence of float operations,
-    so the result is bit-reproducible.
+    Until the sign changes, Newton runs from lo capped at the next doubling
+    end (1, or lo + 1 for lo >= 1), which is evaluated, then doubled at
+    most 200 times, only where a step falls back; a step that crosses the
+    root first saves f(1).  The search stops only inside a sign bracket,
+    at a Newton point whose step or predicted error is at most 4 units in
+    its last place; one that converges before the sign changes moves that
+    far past itself.  The result is bit-reproducible.
 
     Returns:
-        The bracket end with the smaller |f|, or a point where f is 0.
+        That point, a point where f is 0, or, where float spacing cannot
+        split the bracket, its end with the smaller |f|.
 
     Raises:
         RootFailure: reason "no_sign_change" when doubling exhausts its
             budget, "non_finite" when f returns NaN or infinity.
     """
 
-    def check(value: float, where: float) -> float:
-        if not math.isfinite(value):
-            raise RootFailure(
-                "non_finite", f"f({where!r}) = {value!r} during root search"
-            )
-        return value
-
-    flo = check(f(lo), lo)
-    if flo == 0.0:
-        return lo
-    hi = 1.0 if lo < 1.0 else lo + 1.0
-    a, fa = lo, flo
-    fhi = check(f(hi), hi)
-    doublings = 0
-    while (fhi > 0.0) == (flo > 0.0):
-        if fhi == 0.0:
-            return hi
-        doublings += 1
-        if doublings > 200:
-            raise RootFailure(
-                "no_sign_change",
-                f"no sign change on [{lo!r}, {hi!r}] after 200 doublings",
-            )
-        a, fa = hi, fhi  # the root lies above every end already tried
-        hi *= 2.0
-        fhi = check(f(hi), hi)
-    if fhi == 0.0:
-        return hi
-
-    b, fb = hi, fhi
-    c = fc = None  # the bracket end replaced last
-    # ITP's bound on the bracket width after the current step: it starts
-    # 2**_SLACK_STEPS times above bisection's and halves with every step
-    cap = (b - a) * 2.0 ** (_SLACK_STEPS - 1)
-    step = older = b - a  # Brent's last two step lengths
+    inf, nan = math.inf, math.nan
+    zl = None  # the end on lo's side of the root, once evaluated
+    zh, fh, dh, ch = 1.0 if lo < 1.0 else lo + 1.0, inf, 0.0, inf
+    bracketed, doublings, cap = False, 0, inf
+    step = older = zh - lo
+    t = lo
     while True:
-        best, fbest = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            return best  # float spacing exhausted
-        width = b - a
-        if width > _XTOL:
-            x = _interpolate(a, fa, b, fb, c, fc)
-            if abs(x - best) < 0.5 * older:
-                older, step = step, abs(x - best)
-            else:
-                x = mid
-                older = step = 0.5 * width
-            if abs(x - best) < 0.5 * _XTOL:
-                x = best + math.copysign(0.5 * _XTOL, mid - best)
-            radius = max(cap - 0.5 * width, 0.0)
-            if abs(x - mid) > radius:
-                x = mid + math.copysign(radius, x - mid)
-            if not a < x < b:
-                x = mid
-        elif abs(fbest) <= tol:
-            return best
+        ft, dt = f(t)
+        if not -inf < ft < inf:
+            raise RootFailure("non_finite", f"f({t!r}) = {ft!r} during root search")
+        if ft == 0.0:
+            return t
+        if zl is None:
+            zl, fl, dl, cl = t, ft, dt, inf
+        elif (ft > 0.0) == (fl > 0.0):
+            if t == zh:
+                doublings += 1
+                if doublings > 200:
+                    raise RootFailure(
+                        "no_sign_change",
+                        f"no sign change on [{lo!r}, {zh!r}] after 200 doublings",
+                    )
+                zh *= 2.0
+            zl, fl, dl, cl = t, ft, dt, (dt - dl) / (t - zl)
+        elif bracketed:
+            zh, fh, dh, ch = t, ft, dt, (dt - dh) / (t - zh)
         else:
-            x = mid
+            bracketed, cap = True, (t - zl) * 2.0**_SPARE_STEPS
+            zh, fh, dh, ch = t, ft, dt, cl
+        if abs(fl) <= abs(fh):
+            x, fx, dx, curve = zl, fl, dl, cl
+        else:
+            x, fx, dx, curve = zh, fh, dh, ch
+        if 0.0 < abs(dx) < inf:
+            s = fx / dx
+            size = abs(s)
+            error = abs(0.5 * curve * s / dx) * size
+            t = x - s
+        else:
+            t = size = error = nan
+        bound = 4.0 * math.ulp(t)
+        if zl <= t <= zh and (size <= bound or error <= bound):
+            if bracketed:
+                return t
+            t = min(t + bound, zh)
+        elif zl < t < zh and 4.0 * error <= size:
+            older, step = step, size
+            shifted = t - curve * s * s / dx
+            if zl < shifted < zh:
+                t = shifted
+        elif zl < t < zh and size < 0.5 * older and zh - zl <= cap:
+            older, step = step, size
+        elif not bracketed:
+            t = zh
+            step = older = zh - zl
+        else:
+            t = 0.5 * (zl + zh)
+            if t == zl or t == zh:
+                return x  # float spacing exhausted
+            step = older = t - zl
         cap *= 0.5
-        fx = check(f(x), x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fa > 0.0):
-            c, fc, a, fa = a, fa, x, fx
-        else:
-            c, fc, b, fb = b, fb, x, fx
-
-
-def _interpolate(
-    a: float,
-    fa: float,
-    b: float,
-    fb: float,
-    c: Optional[float],
-    fc: Optional[float],
-) -> float:
-    # Inverse interpolation in Newton form, so no denominator is a product
-    # that could underflow to zero: each is a difference of distinct floats.
-    slope = (b - a) / (fb - fa)
-    secant = a - fa * slope
-    if c is not None and fc != fa and fc != fb:
-        curve = ((c - b) / (fc - fb) - slope) / (fc - fa)
-        x = secant + fa * fb * curve
-        if a < x < b:
-            return x
-    return secant

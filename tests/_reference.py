@@ -5,7 +5,10 @@ The scalar functions of the outer-coefficient equation, one z at a time:
 of every kind as (theta, n) read off its datum (``law``) and the
 outer equation it gives (``law_residual``).  The package evaluates them
 fused, in ``transcendental._h_kernel`` and ``transcendental.outer_residual``,
-and the tests assert that the fused kernels equal them bit for bit.
+with their slopes, and the tests assert that the fused kernels' values
+equal them bit for bit and that their slopes match the 60-digit
+derivatives of the same formulas in mpmath, ``h_tail_mp`` (1 - h) and
+``law_residual_mp``.
 ``h2_star_gap`` is the paper's saturating ratio whose zero is h2*, which
 ``equivalence.h2_star`` reads in closed form.
 
@@ -31,12 +34,17 @@ from stefan3.errors import MissingBoundaryDatum
 from stefan3.model import Dirichlet, Neumann, Robin
 from stefan3.solver import _FRONT_BAND, free_boundaries
 from stefan3.transcendental import (
+    _EXP_CAP,
     _SQRT_PI,
-    _exp_capped,
     _h_subtracted,
     coef2_from_coef1,
     phi,
 )
+
+
+def _exp_capped(x):
+    # exp() saturated as the fused kernels saturate it
+    return math.exp(min(x, _EXP_CAP))
 
 
 def h_func(z, ctx):
@@ -112,6 +120,54 @@ def law_residual(ctx):
         return w * (q_func(z, ctx) + right) - drive * math.exp(
             -m * m * (a1 / a3 - a1 / a2)
         )
+
+    return f
+
+
+def h_tail_mp(z, ctx):
+    """1 - h_func in mpmath at the working precision, to differentiate h.
+
+    erfc(z*sigma2) plus the term h subtracts, on the context's float
+    constants taken exactly: where h is within 1e-60 of 1, 1 - h would
+    keep none of the digits of its slope.
+    """
+    import mpmath as mp
+
+    a1, a2 = (mp.mpf(a) for a in ctx.alphas[:2])
+    ph = z + mp.mpf(ctx.ste1) / mp.sqrt(mp.pi) * mp.exp(-z * z) / mp.erfc(z)
+    return mp.erfc(z * ctx.sigma2) + ctx._h_offset_coef * mp.exp(
+        -z * z * a1 / a2) / ph
+
+
+def law_residual_mp(ctx):
+    """law_residual in mpmath at the working precision, to differentiate it.
+
+    The matched inner coefficient solves erfc(m*sigma2) = 1 - h(z) by
+    Newton steps from the float one.  exp() is not capped, so it equals
+    law_residual only below the cap.
+    """
+    import mpmath as mp
+
+    theta, n = law(ctx)
+    p = ctx.props
+    a1, a2, a3 = (mp.mpf(a) for a in ctx.alphas)
+    drive = n / (p.l2 * mp.sqrt(mp.pi)) * mp.sqrt(
+        mp.mpf(p.k3) * p.c1 * p.c3 / p.k1)
+
+    def f(z):
+        tail = h_tail_mp(z, ctx)
+        y = mp.mpf(specfun.erfc_inv(float(tail)))
+        for _ in range(50):
+            step = (mp.erfc(y) - tail) / (2 / mp.sqrt(mp.pi) * mp.exp(-y * y))
+            y += step
+            if abs(step) <= abs(y) * mp.eps:
+                break
+        m = mp.sqrt(a2 / a1) * y
+        w = theta + (1 - theta) * mp.erf(m * ctx.sigma3)
+        q = mp.mpf(p.l1) / p.l2 * (z + mp.mpf(ctx.ste1) / mp.sqrt(mp.pi)
+                                   * mp.exp(-z * z) / mp.erfc(z))
+        return w * (q * mp.exp(z * z * a1 / a2) + m * mp.exp(m * m * a1 / a2)) - (
+            drive * mp.exp(-m * m * (a1 / a3 - a1 / a2)))
 
     return f
 

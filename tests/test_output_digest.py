@@ -13,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
-    "sweep": "a0c05f063b6cfa770c342f70c21cf59462c76e3e9d12d8c33a5b3828e4fa90cd",
-    "field": "d188c533105ebca853cde6e57baf02b8166232899b93b433238b6618037888db",
-    "verify": "d2f40316a867044769d426636b27c7c42c1da1071bfe641c8d0ea6c80cf474e4",
+    "sweep": "fd0872403c67540aa8ae03402c883cc6fc8538e2eddc0a9d7742f062e307db0c",
+    "field": "6eb8a02cdb49ed671ee92648eb264d66b905e5cf47c95a23587a7c319875ad64",
+    "verify": "f12d80050a9a4676ba625723da4c9b5b31b61740c6b36603288fa9f485bc331b",
 }
 
 

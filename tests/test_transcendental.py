@@ -112,40 +112,44 @@ def test_inner_coefficient_increasing(ctx_robin):
 
 
 def test_find_root_simple_brackets():
-    root = find_root_monotone(lambda z: z * z * z - 8.0, 0.0)
+    root = find_root_monotone(lambda z: (z * z * z - 8.0, 3.0 * z * z), 0.0)
     assert root == pytest.approx(2.0, abs=1e-13)
-    root = find_root_monotone(lambda z: 5.0 - z, 0.0)
+    root = find_root_monotone(lambda z: (5.0 - z, -1.0), 0.0)
     assert root == pytest.approx(5.0, abs=1e-13)
-    root = find_root_monotone(lambda z: math.expm1(z - 3.0), 1.0)
+    root = find_root_monotone(
+        lambda z: (math.expm1(z - 3.0), math.exp(z - 3.0)), 1.0)
     assert root == pytest.approx(3.0, abs=1e-13)
 
 
 def test_find_root_exact_hit():
-    assert find_root_monotone(lambda z: z - 1.0, 1.0) == 1.0
+    assert find_root_monotone(lambda z: (z - 1.0, 1.0), 1.0) == 1.0
 
 
 def test_find_root_no_sign_change():
     with pytest.raises(RootFailure) as exc:
-        find_root_monotone(lambda z: z + 10.0, 0.0)
+        find_root_monotone(lambda z: (z + 10.0, 1.0), 0.0)
     assert exc.value.reason == "no_sign_change"
 
 
 def test_find_root_non_finite():
     with pytest.raises(RootFailure) as exc:
-        find_root_monotone(lambda z: math.nan, 0.0)
+        find_root_monotone(lambda z: (math.nan, 1.0), 0.0)
     assert exc.value.reason == "non_finite"
 
 
 def test_find_root_tol_tightening_is_stable():
-    f = lambda z: math.tanh(z - 1.25)
-    loose = find_root_monotone(f, 0.0, tol=1e-6)
-    tight = find_root_monotone(f, 0.0, tol=1e-12)
-    assert abs(loose - tight) <= 1e-13
+    # the search stops at 4 units in the last place; bisecting on to float
+    # spacing moves the root by no more than that
+    f = lambda z: (math.tanh(z - 1.25), 1.0 / math.cosh(z - 1.25) ** 2)
+    for lo in (0.0, 0.5, 1.2, 1.25 - 1e-9):
+        root = find_root_monotone(f, lo)
+        tight = _bisected(lambda z: f(z)[0], lo, 2.0)
+        assert abs(root - tight) <= 4.0 * math.ulp(tight), lo
 
 
 @given(st.floats(min_value=1e-6, max_value=1e5))
 def test_find_root_affine(r):
-    root = find_root_monotone(lambda z: z - r, 0.0)
+    root = find_root_monotone(lambda z: (z - r, 1.0), 0.0)
     assert abs(root - r) <= 1e-9 * max(1.0, r)
 
 
@@ -171,8 +175,8 @@ def test_context_is_immutable_and_validating(ctx_robin):
 
 
 def _bisection_count(f, lo, hi, tol=1e-12):
-    # evaluations plain bisection takes on [lo, hi] under the same stopping
-    # rule: a bracket of 1e-14 with |f| <= tol there, or float spacing
+    # evaluations plain bisection takes on [lo, hi] to narrow its bracket to
+    # 1e-14 with |f| <= tol there, or to float spacing
     flo, n = f(lo), 2
     f(hi)
     while True:
@@ -189,6 +193,22 @@ def _bisection_count(f, lo, hi, tol=1e-12):
             return n
 
 
+def _bisected(f, lo, hi):
+    # the sign change of f on [lo, hi], bisected down to float spacing
+    flo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(flo) <= abs(f(hi)) else hi
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
 def _counted(f):
     calls = []
 
@@ -199,11 +219,18 @@ def _counted(f):
     return g, calls
 
 
+# (f, its exact slope, the root)
 HARD_CASES = {
-    "steep": (lambda z: math.tanh(1e8 * (z - 0.3)), 0.3),
-    "flat": (lambda z: (z - 0.7) ** 9, 0.7),
+    "steep": (
+        lambda z: math.tanh(1e8 * (z - 0.3)),
+        lambda z: 1e8 * (1.0 - math.tanh(1e8 * (z - 0.3)))
+        * (1.0 + math.tanh(1e8 * (z - 0.3))),
+        0.3,
+    ),
+    "flat": (lambda z: (z - 0.7) ** 9, lambda z: 9.0 * (z - 0.7) ** 8, 0.7),
     "pole": (
         lambda z: -1e300 if z <= 0.0 else z - 0.4 - 1e-3 / z,
+        lambda z: 0.0 if z <= 0.0 else 1.0 + 1e-3 / (z * z),
         0.2 + math.sqrt(0.041),
     ),
 }
@@ -211,8 +238,8 @@ HARD_CASES = {
 
 @pytest.mark.parametrize("name", sorted(HARD_CASES))
 def test_find_root_worst_case_stays_near_bisection(name):
-    f, exact = HARD_CASES[name]
-    g, calls = _counted(f)
+    f, slope, exact = HARD_CASES[name]
+    g, calls = _counted(lambda z: (f(z), slope(z)))
     root = find_root_monotone(g, 0.0)
     assert len(calls) <= _bisection_count(f, 0.0, 1.0) + 8
     assert abs(root - exact) <= 1e-14
@@ -242,8 +269,8 @@ def test_root_search_typical_cost(searches):
     outer = [n for kind, n in searches if kind == "outer"]
     assert (len(z0), len(outer)) == (51, 153)
     # plain bisection takes 49 for each
-    assert median(outer) <= 12
-    assert median(z0) <= 12
+    assert median(outer) <= 5
+    assert median(z0) <= 8
 
 
 def _kernel_contexts():
@@ -282,17 +309,18 @@ def test_fused_outer_residual_equals_the_point_functions_bit_for_bit():
         assert surface_law(ctx.bc).read(ctx) == R.law(ctx), ctx.bc
         fused, law, paper = (
             outer_residual(ctx), R.law_residual(ctx), R.outer_residual(ctx))
-        values = [(fused(z), law(z), paper(z)) for z in _z_grid(ctx)]
+        zs = _z_grid(ctx)
+        values = [(fused(z)[0], law(z), paper(z)) for z in zs]
         assert all(a == b for a, b, _ in values), ctx.bc
         # the paper's per-kind equation has the same sign everywhere ...
         assert all(_sign(a) == _sign(c) for a, _, c in values), ctx.bc
         # ... the grid reaches both signs and the saturated far end ...
         assert values[0][2] < 0.0 < values[-1][2]
-        # ... and both equations have the same root, each searched down to
-        # float spacing
-        root, want = (
-            find_root_monotone(f, _outer_bracket(ctx), tol=0.0)
-            for f in (fused, paper))
+        # ... and both equations have the same root: the paper's bisected
+        # down to float spacing
+        root = find_root_monotone(fused, _outer_bracket(ctx))
+        hi = next(z for z, (_, _, c) in zip(zs, values) if c > 0.0)
+        want = _bisected(paper, _outer_bracket(ctx), hi)
         assert abs(root - want) <= 1e-14 * want, ctx.bc
 
 
@@ -305,10 +333,38 @@ def test_fused_h_kernel_equals_h_func_bit_for_bit():
         # subtracted term is absorbed by erf
         zs = [0.0, 1e-300, 1e-12] + [ctx.z0 * i / 64 for i in range(1, 193)]
         zs += _z_grid(ctx)
-        assert all(h(z) == h_func(z, ctx) for z in zs), ctx.bc
-        assert h(ctx.z0) == h_func(ctx.z0, ctx)
+        assert all(h(z)[0] == h_func(z, ctx) for z in zs), ctx.bc
+        assert h(ctx.z0)[0] == h_func(ctx.z0, ctx)
 
 
+def test_kernel_slopes_match_the_60_digit_derivatives():
+    # the slope half of each kernel against mpmath's derivative of the same
+    # formula at 60 digits, from just above z0 to where exp() saturates:
+    # past that the capped value has no slope, and the search needs only
+    # its sign.  Seen at most 1.6e-13 relative, at the saturation end,
+    # where the exponent's rounding (~690 eps) shows; a slope off by 1e-3
+    # fails by nine orders
+    import mpmath as mp
+
+    import _reference as R
+    from stefan3.transcendental import _h_kernel, outer_residual
+
+    worst = 0.0
+    with mp.workdps(60):
+        for ctx in _kernel_contexts():
+            saturation = math.sqrt(690.0 * ctx.alpha2 / ctx.alpha1)
+            law = R.law_residual_mp(ctx)
+            pairs = (
+                (_h_kernel(ctx), lambda z: -R.h_tail_mp(z, ctx)),
+                (outer_residual(ctx), law),
+            )
+            for z in _z_grid(ctx):
+                if z >= saturation:
+                    continue
+                for kernel, exact in pairs:
+                    want = mp.diff(exact, mp.mpf(z))
+                    worst = max(worst, float(abs(kernel(z)[1] / want - 1)))
+    assert worst <= 1e-12
 def test_outer_residual_needs_a_boundary_datum(ctx_plain):
     from stefan3.transcendental import outer_residual
 
