@@ -66,7 +66,7 @@ _EXP_CAP = 690.0
 _INNER_SATURATION = 30.0
 
 # Steps the root search may take beyond bisection's count to narrow a sign
-# bracket; past them it bisects until the bracket is back within budget.
+# bracket; past them it bisects, but for Newton steps that shrink fast.
 _SPARE_STEPS = 4
 
 
@@ -365,29 +365,27 @@ def find_root_monotone(
 ) -> float:
     """Root of a monotone function by Newton steps inside a sign bracket.
 
-    f returns (value, slope).  Each step is Newton's from the bracket end
-    with the smaller |f| (rtsafe; Press et al., Numerical Recipes, 9.4).
-    Each end keeps the difference quotient of its slope with that of the
-    point it replaced on its side (a new end takes the other end's), which
-    predicts a step's error as curve*step^2/(2 f').  A step predicted right
-    to within a quarter of its length is taken, moved past the predicted
-    root by that error so that converging steps close the bracket.  Any
-    other step falls back to the midpoint if it leaves the bracket, is not
-    below half the step before last (Brent, 1973), or comes while the
-    bracket is wider than bisection's after as many steps and _SPARE_STEPS
-    more, so the worst case stays near bisection's count.
+    f returns (value, slope): a scalar f fails, and there is no tolerance
+    argument.  Each step is Newton's from the bracket end with the smaller
+    |f| (rtsafe; Press et al., Numerical Recipes, 9.4).  A step falls back
+    to the midpoint if it leaves the bracket or is not below half the step
+    before last (Brent, 1973).  It also falls back while the bracket is
+    wider than bisection's after as many steps and _SPARE_STEPS more, so
+    the worst case stays near bisection's count; a step of at most a
+    quarter of the Newton step before it passes that test anyway, since
+    Newton converging from one side leaves the far end in place.
 
     Until the sign changes, Newton runs from lo capped at the next doubling
     end (1, or lo + 1 for lo >= 1), which is evaluated, then doubled at
     most 200 times, only where a step falls back; a step that crosses the
     root first saves f(1).  The search stops only inside a sign bracket,
-    at a Newton point whose step or predicted error is at most 4 units in
-    its last place; one that converges before the sign changes moves that
-    far past itself.  The result is bit-reproducible.
+    once the Newton step from an evaluated end is at most 4 units in the
+    last place; a forward step that small before the sign changes moves
+    that far past itself instead.  The result is bit-reproducible.
 
     Returns:
-        That point, a point where f is 0, or, where float spacing cannot
-        split the bracket, its end with the smaller |f|.
+        The end of that last step, a point where f is 0, or, where float
+        spacing cannot split the bracket, its end with the smaller |f|.
 
     Raises:
         RootFailure: reason "no_sign_change" when doubling exhausts its
@@ -396,9 +394,10 @@ def find_root_monotone(
 
     inf, nan = math.inf, math.nan
     zl = None  # the end on lo's side of the root, once evaluated
-    zh, fh, dh, ch = 1.0 if lo < 1.0 else lo + 1.0, inf, 0.0, inf
+    zh, fh = 1.0 if lo < 1.0 else lo + 1.0, inf
     bracketed, doublings, cap = False, 0, inf
     step = older = zh - lo
+    last = 0.0  # the Newton step before, 0 after any other
     t = lo
     while True:
         ft, dt = f(t)
@@ -407,7 +406,7 @@ def find_root_monotone(
         if ft == 0.0:
             return t
         if zl is None:
-            zl, fl, dl, cl = t, ft, dt, inf
+            zl, fl, dl = t, ft, dt
         elif (ft > 0.0) == (fl > 0.0):
             if t == zh:
                 doublings += 1
@@ -417,40 +416,34 @@ def find_root_monotone(
                         f"no sign change on [{lo!r}, {zh!r}] after 200 doublings",
                     )
                 zh *= 2.0
-            zl, fl, dl, cl = t, ft, dt, (dt - dl) / (t - zl)
-        elif bracketed:
-            zh, fh, dh, ch = t, ft, dt, (dt - dh) / (t - zh)
+            zl, fl, dl = t, ft, dt
         else:
-            bracketed, cap = True, (t - zl) * 2.0**_SPARE_STEPS
-            zh, fh, dh, ch = t, ft, dt, cl
+            if not bracketed:
+                bracketed, cap = True, (t - zl) * 2.0**_SPARE_STEPS
+            zh, fh, dh = t, ft, dt
         if abs(fl) <= abs(fh):
-            x, fx, dx, curve = zl, fl, dl, cl
+            x, fx, dx = zl, fl, dl
         else:
-            x, fx, dx, curve = zh, fh, dh, ch
+            x, fx, dx = zh, fh, dh
         if 0.0 < abs(dx) < inf:
             s = fx / dx
             size = abs(s)
-            error = abs(0.5 * curve * s / dx) * size
             t = x - s
         else:
-            t = size = error = nan
+            t = size = nan
         bound = 4.0 * math.ulp(t)
-        if zl <= t <= zh and (size <= bound or error <= bound):
+        fast = size <= 0.25 * last
+        if zl <= t <= zh and size <= bound and (bracketed or s < 0.0):
             if bracketed:
                 return t
-            t = min(t + bound, zh)
-        elif zl < t < zh and 4.0 * error <= size:
-            older, step = step, size
-            shifted = t - curve * s * s / dx
-            if zl < shifted < zh:
-                t = shifted
-        elif zl < t < zh and size < 0.5 * older and zh - zl <= cap:
-            older, step = step, size
+            t, last = min(t + bound, zh), 0.0
+        elif zl < t < zh and size < 0.5 * older and (fast or zh - zl <= cap):
+            older, step, last = step, size, size
         elif not bracketed:
-            t = zh
+            t, last = zh, 0.0
             step = older = zh - zl
         else:
-            t = 0.5 * (zl + zh)
+            t, last = 0.5 * (zl + zh), 0.0
             if t == zl or t == zh:
                 return x  # float spacing exhausted
             step = older = t - zl

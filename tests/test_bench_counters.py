@@ -17,14 +17,17 @@ ROOT = Path(__file__).resolve().parents[1]
 # 1.66, 2, 1.66 for the last three; residual evaluations per solve read 9.79
 # before mapping targets were seeded with their source's root, 5.98 after,
 # and 10.02 once a target took its source's pair and searched for nothing;
-# the interpolating search took 10.02 outer and 9.02 z0 evaluations
+# the interpolating search took 10.02 outer and 9.02 z0 evaluations, and a
+# Newton search that stopped on an error predicted from slope differences
+# 5.94 and 6.48 (it could stop short of the root)
 UPPER_BOUNDS = {
     # one outer search per op, so this counts outer evaluations per op: the
-    # Newton search takes 4 to 6 on the 48 seeded ops and 31 on each of the
-    # two near-threshold ones, which double to infinity
-    "transcendental.residual_evals_per_solve": 5.94,
-    # 6 to 8 per search, starting from h(0)
-    "transcendental.z0_evals_per_search": 6.48,
+    # Newton search takes 5 to 7 on the 48 seeded ops, the last one to
+    # confirm a step of at most 4 ulps, and 31 on each of the two
+    # near-threshold ones, which double to infinity
+    "transcendental.residual_evals_per_solve": 6.9,
+    # 7 to 9 per search, starting from h(0)
+    "transcendental.z0_evals_per_search": 7.6,
     # z0 and the source; a mapping target takes the source's pair
     "transcendental.root_searches_per_op": 2.0,
     # one z0 per op, and every material carries three ops
@@ -39,7 +42,7 @@ UPPER_BOUNDS = {
 
 
 # Floors the work guarantees, so a counter that stops counting fails its gate
-# while a real cut in work still passes.  Seed-1 readings: 5.94, 6.48, 2.0,
+# while a real cut in work still passes.  Seed-1 readings: 6.9, 7.6, 2.0,
 # 2.94, 1.0, 0.68 and 1.0.  equivalence.solves_per_mapping has none: it reads
 # 0, since the tracer wraps only the solve_* functions, a mapping's source
 # solve is a memo hit and its target is built from the source's pair.

@@ -13,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
-    "sweep": "fd0872403c67540aa8ae03402c883cc6fc8538e2eddc0a9d7742f062e307db0c",
-    "field": "6eb8a02cdb49ed671ee92648eb264d66b905e5cf47c95a23587a7c319875ad64",
-    "verify": "f12d80050a9a4676ba625723da4c9b5b31b61740c6b36603288fa9f485bc331b",
+    "sweep": "a867c5681793fc33dc6209d64cc30994cb14bfd792fe7c3b1979baa80c1ff29f",
+    "field": "04ae0e1262fa5528bab6e2b25523f335463169503d8533f0b20795ad57d4024f",
+    "verify": "8ad4ab8a89687d3d11ce78396a27453760a0640d3cc282cd78a3260d3be6b776",
 }
 
 

@@ -125,10 +125,25 @@ def test_find_root_exact_hit():
     assert find_root_monotone(lambda z: (z - 1.0, 1.0), 1.0) == 1.0
 
 
+def _steep(z):
+    # > 0 from 0 on, and its Newton step back is below an ulp once z is
+    # large: doubling must go on to its budget there
+    e = math.exp(min(50.0 * z, 700.0))
+    return e, 50.0 * e
+
+
 def test_find_root_no_sign_change():
-    with pytest.raises(RootFailure) as exc:
-        find_root_monotone(lambda z: (z + 10.0, 1.0), 0.0)
-    assert exc.value.reason == "no_sign_change"
+    for f in (lambda z: (z + 10.0, 1.0), _steep):
+        calls = []
+
+        def g(z):
+            calls.append(z)
+            assert len(calls) <= 202  # lo, 1 and 200 doublings
+            return f(z)
+
+        with pytest.raises(RootFailure) as exc:
+            find_root_monotone(g, 0.0)
+        assert exc.value.reason == "no_sign_change"
 
 
 def test_find_root_non_finite():
@@ -233,6 +248,15 @@ HARD_CASES = {
         lambda z: 0.0 if z <= 0.0 else 1.0 + 1e-3 / (z * z),
         0.2 + math.sqrt(0.041),
     ),
+    # nearly straight on [0, 2], then sharply curved just before the root:
+    # slopes at the doubling ends say a Newton step from 2 lands on it at
+    # 2.5, where f is about 1; only an evaluated step may end the search.
+    # The root is 2.5 - W(80)/80, W being Lambert's function.
+    "curl": (
+        lambda z: z - 2.5 + math.exp(80.0 * (z - 2.5)),
+        lambda z: 1.0 + 80.0 * math.exp(80.0 * (z - 2.5)),
+        2.459820134242225378659,
+    ),
 }
 
 
@@ -241,7 +265,10 @@ def test_find_root_worst_case_stays_near_bisection(name):
     f, slope, exact = HARD_CASES[name]
     g, calls = _counted(lambda z: (f(z), slope(z)))
     root = find_root_monotone(g, 0.0)
-    assert len(calls) <= _bisection_count(f, 0.0, 1.0) + 8
+    hi = 1.0
+    while f(hi) < 0.0:
+        hi *= 2.0  # the doubling end that brackets the root
+    assert len(calls) <= _bisection_count(f, 0.0, hi) + 8
     assert abs(root - exact) <= 1e-14
     # the sign change lies within the 1e-14 bracket around the result
     assert f(root) == 0.0 or f(root - 1e-14) < 0.0 < f(root + 1e-14)
@@ -268,9 +295,10 @@ def test_root_search_typical_cost(searches):
     z0 = [n for kind, n in searches if kind == "z0"]
     outer = [n for kind, n in searches if kind == "outer"]
     assert (len(z0), len(outer)) == (51, 153)
-    # plain bisection takes 49 for each
-    assert median(outer) <= 5
-    assert median(z0) <= 8
+    # plain bisection takes 49 for each; a Newton run from one side that
+    # fell back to bisection once its bracket outgrew the budget took 63
+    assert median(outer) <= 6 and max(outer) <= 9
+    assert median(z0) <= 9 and max(z0) <= 12
 
 
 def _kernel_contexts():
@@ -365,6 +393,8 @@ def test_kernel_slopes_match_the_60_digit_derivatives():
                     want = mp.diff(exact, mp.mpf(z))
                     worst = max(worst, float(abs(kernel(z)[1] / want - 1)))
     assert worst <= 1e-12
+
+
 def test_outer_residual_needs_a_boundary_datum(ctx_plain):
     from stefan3.transcendental import outer_residual
 
