@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import specfun
 from .errors import HypothesisError, MissingBoundaryDatum, RootFailure, ValidationError
-from .model import Dirichlet, Neumann, Robin, Violation, require_bulk
+from .model import Dirichlet, Neumann, Robin, Violation, datum_violations, require_bulk
 from .transcendental import ProblemContext
 from .solver import ThreePhaseSolution, _of_kind, _solved, solve, thresholds
 
@@ -302,9 +302,12 @@ def h2_star(ctx: ProblemContext, a_inf: float) -> float:
     """Auxiliary convective threshold above which the flux bound is automatic.
 
     q2/((a_inf - B) - s2), where the saturating ratio of the mapped flux to
-    q2 reaches one.  RootFailure("no_sign_change") unless a_inf exceeds
-    bulk_floor(ctx) by a gap (a_inf - B) - s2 that does not round to zero.
+    q2 reaches one.  ValidationError unless a_inf is finite and exceeds B;
+    RootFailure("no_sign_change") unless it exceeds bulk_floor(ctx) by a
+    gap (a_inf - B) - s2 that does not round to zero.
     """
+    require_bulk(a_inf, ctx.temps.B, "BULK_NOT_ABOVE_B",
+                 "bulk temperature must exceed B")
     q2, s2 = _critical(ctx)
     star = _h2_star(a_inf, ctx.temps.B, q2, s2)
     if star is None:
@@ -316,9 +319,17 @@ def h2_star(ctx: ProblemContext, a_inf: float) -> float:
 def auto_satisfaction(
     ctx: ProblemContext, h0: float, a_inf: float
 ) -> AutoSatisfaction:
-    """Decide the sufficient condition for convective-to-flux admissibility."""
-    q2, s2 = _critical(ctx)
+    """Decide the sufficient condition for convective-to-flux admissibility.
+
+    Raises:
+        ValidationError: a_inf is not finite or does not exceed B, or h0 is
+            not finite and positive.
+    """
     h2 = thresholds(ctx, a_inf).h2
+    violations = datum_violations(ctx.temps, Robin(h0, a_inf))
+    if violations:
+        raise ValidationError(violations)
+    q2, s2 = _critical(ctx)
     star = _h2_star(a_inf, ctx.temps.B, q2, s2)
     holds = star is not None and h0 > max(h2, star)
     return AutoSatisfaction(ctx.temps.B + s2, h2, star, holds)

@@ -321,15 +321,14 @@ def load_config(
 ) -> tuple[MaterialProperties, PhaseTemps, Optional[BoundarySpec]]:
     """Read and parse a JSON config file.
 
-    I/O problems propagate as OSError; malformed JSON or a bad schema raise
-    ValidationError.
+    I/O problems propagate as OSError; text that is not UTF-8, malformed
+    JSON or a bad schema raise ValidationError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            [Violation("BAD_JSON", f"config is not valid JSON: {exc}")]
-        ) from exc
+        try:
+            obj = json.loads(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(
+                [Violation("BAD_JSON", f"config is not valid JSON: {exc}")]
+            ) from exc
     return config_from_dict(obj)

@@ -301,15 +301,6 @@ def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
     return asc, order, {3: (0, i3), 2: (i3, i2), 1: (i2, len(asc))}
 
 
-def _profile(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
-    # the given phase's profile at every x of xs, a slice _cut has cut to
-    # that phase.  erf and erfc are looked up per call, so wrappers
-    # installed on specfun see them all.
-    d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
-    f = specfun.erfc if phase == 1 else specfun.erf
-    return [f(x / d) for x in xs]
-
-
 def _phase_excess(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
     # the given phase's closed-form excess above D at every x of xs
     d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
@@ -383,7 +374,9 @@ def phase_profile(sol: ThreePhaseSolution, x: float, t: float) -> tuple[int, flo
     temperature_row.
     """
     phase = next(p for p, (lo, hi) in _cut(sol, t, (x,))[2].items() if lo < hi)
-    return phase, _profile(sol, phase, t, (x,))[0]
+    # looked up per call, so a wrapper installed on specfun sees it
+    f = specfun.erfc if phase == 1 else specfun.erf
+    return phase, f(x / (2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)))
 
 
 def surface_values(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:

@@ -46,7 +46,6 @@ from .model import (
     Neumann,
     PhaseTemps,
     Robin,
-    StefanNumbers,
     datum_violations,
     diffusivities,
     require_valid,
@@ -88,9 +87,15 @@ class ProblemContext:
     """Validated, immutable bundle of one problem's data.
 
     Construction runs the full model validation, so any context that exists
-    describes a well-posed problem.  Derived constants and the zero ``z0``
-    are computed once, cached on the instance, from the material and
-    temperatures alone; ``solution`` is the solver's result, held weakly.
+    describes a well-posed problem, and then sets the material constants
+    from the material and temperatures alone: the diffusivities ``alphas``
+    (also ``alpha1``..``alpha3``), the Stefan numbers ``ste1`` and
+    ``ste2``, ``sigma2`` = sqrt(alpha1/alpha2), which rescales an
+    outer-front coefficient into phase 2's similarity variable, ``sigma3``
+    = sqrt(alpha1/alpha3) and ``_h_offset_coef``, the coefficient c of the
+    term h subtracts.
+    The zero ``z0``, the one constant that needs a search, is computed on
+    first use and cached; ``solution`` is the solver's result, held weakly.
     """
 
     props: MaterialProperties
@@ -98,54 +103,18 @@ class ProblemContext:
     bc: Optional[BoundarySpec] = None
 
     def __post_init__(self):
-        require_valid(self.props, self.temps, self.bc)
-
-    @_cached
-    def alphas(self) -> tuple[float, float, float]:
-        return diffusivities(self.props)
-
-    @property
-    def alpha1(self) -> float:
-        return self.alphas[0]
-
-    @property
-    def alpha2(self) -> float:
-        return self.alphas[1]
-
-    @property
-    def alpha3(self) -> float:
-        return self.alphas[2]
-
-    @_cached
-    def _stefan(self) -> StefanNumbers:
-        return stefan_numbers(self.props, self.temps)
-
-    @property
-    def ste1(self) -> float:
-        return self._stefan.ste1
-
-    @property
-    def ste2(self) -> float:
-        return self._stefan.ste2
-
-    @_cached
-    def sigma2(self) -> float:
-        # sqrt(alpha1/alpha2): rescales an outer-front coefficient into the
-        # similarity variable of phase 2
-        return math.sqrt(self.alpha1 / self.alpha2)
-
-    @_cached
-    def sigma3(self) -> float:
-        return math.sqrt(self.alpha1 / self.alpha3)
-
-    @_cached
-    def _h_offset_coef(self) -> float:
         p = self.props
-        return (
-            self.ste2
-            / _SQRT_PI
-            * (p.l2 / p.l1)
-            * math.sqrt(p.k2 * p.c1 / (p.k1 * p.c2))
+        require_valid(p, self.temps, self.bc)
+        a1, a2, a3 = alphas = diffusivities(p)
+        ste = stefan_numbers(p, self.temps)
+        vars(self).update(
+            alphas=alphas, alpha1=a1, alpha2=a2, alpha3=a3,
+            ste1=ste.ste1, ste2=ste.ste2,
+            sigma2=math.sqrt(a1 / a2), sigma3=math.sqrt(a1 / a3),
+            _h_offset_coef=(
+                ste.ste2 / _SQRT_PI * (p.l2 / p.l1)
+                * math.sqrt(p.k2 * p.c1 / (p.k1 * p.c2))
+            ),
         )
 
     @_cached
@@ -173,8 +142,8 @@ class ProblemContext:
 
         Only the new datum is checked, against this already valid material:
         an invalid one raises the ValidationError a fresh context would.
-        The new context inherits every material value this one has already
-        computed, z0 included, and no solution.
+        The new context inherits the material constants, and z0 once this
+        one has computed it, and no solution.
         """
         violations = datum_violations(self.temps, bc)
         if violations:

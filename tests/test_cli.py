@@ -374,6 +374,21 @@ def test_schema_problems_exit_one(capsys, write_config, tmp_path):
     assert "BAD_JSON" in err
 
 
+def test_a_config_that_is_not_utf8_is_bad_json(tmp_path):
+    # a UTF-16 byte order mark cannot start UTF-8 text
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(benchmark_config("robin")).encode())
+    env = {k: v for k, v in os.environ.items() if k != "STEFAN3_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stefan3", "solve", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("invalid input: BAD_JSON: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_io_errors_exit_five(capsys, tmp_path, robin_config):
     code, _, err = run_cli(
         capsys, ["solve", "--config", str(tmp_path / "absent.json")]

@@ -287,6 +287,30 @@ def test_auxiliary_threshold_needs_high_bulk(ctx_plain):
     assert exc.value.reason == "no_sign_change"
 
 
+@pytest.mark.parametrize("a_inf, code", [
+    (math.inf, "NOT_FINITE"), (-math.inf, "NOT_FINITE"), (math.nan, "NOT_FINITE"),
+    (TEMPS.B, "BULK_NOT_ABOVE_B"), (0.0, "BULK_NOT_ABOVE_B"),
+])
+def test_auxiliary_threshold_checks_its_bulk_temperature(ctx_plain, a_inf, code):
+    with pytest.raises(ValidationError) as exc:
+        h2_star(ctx_plain, a_inf)
+    assert [v.code for v in exc.value.violations] == [code]
+
+
+@pytest.mark.parametrize("h0, code", [
+    (math.inf, "NOT_FINITE"), (-math.inf, "NOT_FINITE"), (math.nan, "NOT_FINITE"),
+    (0.0, "ROBIN_H0_NOT_POSITIVE"), (-50.0, "ROBIN_H0_NOT_POSITIVE"),
+])
+def test_auto_satisfaction_checks_its_h0(ctx_plain, h0, code):
+    with pytest.raises(ValidationError) as exc:
+        auto_satisfaction(ctx_plain, h0, 360.0)
+    assert [v.code for v in exc.value.violations] == [code]
+    # the bulk temperature is checked first, with its own codes
+    with pytest.raises(ValidationError) as exc:
+        auto_satisfaction(ctx_plain, h0, TEMPS.B)
+    assert [v.code for v in exc.value.violations] == ["BULK_NOT_ABOVE_B"]
+
+
 def test_auxiliary_threshold_exists_only_above_the_floor(ctx_plain):
     # at the floor itself the closed form's denominator is one rounding of
     # zero; h2_star and auto_satisfaction agree that h2* does not exist

@@ -13,6 +13,8 @@ from stefan3 import (
     specfun,
 )
 from stefan3.transcendental import coef2_from_coef1, phi
+from conftest import PROPS, TEMPS
+from _random_sets import make_sets
 from _reference import h_func, p_func, q_func, t_func, u_func, v_func
 import _expected as E
 
@@ -24,6 +26,25 @@ def test_z0_matches_reference(ctx_robin):
 
 def test_z0_independent_of_boundary_kind(ctx_plain, ctx_robin, ctx_dirichlet):
     assert ctx_plain.z0 == ctx_robin.z0 == ctx_dirichlet.z0
+
+
+def test_a_new_context_holds_every_material_constant():
+    # set at construction, each by its formula to the bit; z0 waits for use
+    other = make_sets(1)[0]["ctx"]
+    for p, temps in ((PROPS, TEMPS), (other.props, other.temps)):
+        ctx = ProblemContext(p, temps)
+        a1, a2, a3 = (p.k1 / (p.rho * p.c1), p.k2 / (p.rho * p.c2),
+                      p.k3 / (p.rho * p.c3))
+        ste2 = p.c2 * (temps.B - temps.C) / p.l2
+        assert vars(ctx) == {
+            "props": p, "temps": temps, "bc": None,
+            "alphas": (a1, a2, a3), "alpha1": a1, "alpha2": a2, "alpha3": a3,
+            "ste1": p.c1 * (temps.C - temps.D) / p.l1, "ste2": ste2,
+            "sigma2": math.sqrt(a1 / a2), "sigma3": math.sqrt(a1 / a3),
+            "_h_offset_coef": ste2 / math.sqrt(math.pi) * (p.l2 / p.l1)
+            * math.sqrt(p.k2 * p.c1 / (p.k1 * p.c2)),
+        }
+        assert ctx.sigma2 == math.sqrt(ctx.alpha1 / ctx.alpha2)
 
 
 def test_scalar_values_match_reference(ctx_robin, ctx_dirichlet, ctx_neumann):
