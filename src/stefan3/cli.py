@@ -38,6 +38,7 @@ from .errors import (
 from .model import _BOUNDARY_KINDS, Violation, load_config
 from .transcendental import ProblemContext
 from .solver import (
+    _resolvable,
     free_boundaries,
     perturbed,
     solve,
@@ -184,9 +185,10 @@ def cmd_map(args) -> int:
     if xmax is None:
         xmax = 2.0 * free_boundaries(sol, tmax)[1]
     ts = [tmax * (i + 1) / nt for i in range(nt)]
-    xs = [xmax * j / (nx - 1) for j in range(nx)]
+    xs = [abs(xmax) * j / (nx - 1) for j in range(nx)]  # abs: -0.0 writes 0.0
     # both lists ascend, so their ends bound every point
-    if not (ts[0] > 0.0 and math.isfinite(ts[-1]) and math.isfinite(xs[-1])):
+    if not (_resolvable(sol, ts[0]) and math.isfinite(ts[-1])
+            and math.isfinite(xs[-1])):
         raise ValidationError([Violation(
             "BAD_GRID", f"grid points overflow or underflow: t runs from "
             f"{ts[0]!r} to {ts[-1]!r} and x to {xs[-1]!r}")])

@@ -26,8 +26,8 @@ the corollary bound on erf(coef2*sigma3) is (T(0) - B)/s2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from . import specfun
 from .errors import HypothesisError, MissingBoundaryDatum, RootFailure, ValidationError
@@ -36,8 +36,7 @@ from .transcendental import ProblemContext
 from .solver import ThreePhaseSolution, _of_kind, _solved, solve, thresholds
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     """One named inequality with the two evaluated sides; holds means lhs > rhs."""
 
     name: str
@@ -49,9 +48,10 @@ class HypothesisCheck:
         return self.lhs > self.rhs
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "holds": self.holds}
+        return {**self._asdict(), "holds": self.holds}
 
 
+# a dataclass, so that callers can copy a report with dataclasses.replace
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of one mapping: the solved source and the target it maps to."""
@@ -207,8 +207,7 @@ def neumann_to_robin(
     return mapping(_of_kind(ctx, "neumann"), "robin", a_inf)
 
 
-@dataclass(frozen=True)
-class CorollaryCheck:
+class CorollaryCheck(NamedTuple):
     """One consequence inequality evaluated on a solved problem."""
 
     name: str
@@ -221,7 +220,7 @@ class CorollaryCheck:
         return self.lhs < self.rhs if self.relation == "<" else self.lhs > self.rhs
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "holds": self.holds}
+        return {**self._asdict(), "holds": self.holds}
 
 
 def corollary_checks(
@@ -263,8 +262,7 @@ def corollary_checks(
     return out
 
 
-@dataclass(frozen=True)
-class AutoSatisfaction:
+class AutoSatisfaction(NamedTuple):
     """Sufficient-condition summary for mapping a convective datum to a flux.
 
     When ``holds`` is true, any h0 above both thresholds is guaranteed to
@@ -277,7 +275,7 @@ class AutoSatisfaction:
     holds: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _critical(ctx: ProblemContext) -> tuple[float, float]:

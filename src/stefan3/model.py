@@ -12,8 +12,8 @@ import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple, Optional, Union
 
 from .errors import DiffusivityWarning, ValidationError
 
@@ -21,8 +21,40 @@ from .errors import DiffusivityWarning, ValidationError
 # liquid between the fronts, 3 = surface liquid.
 
 
-@dataclass(frozen=True)
-class MaterialProperties:
+class _Frozen:
+    """Base of the records that keep derived values in their instance dict.
+
+    A subclass sets its fields, named in ``_fields``, and any derived
+    values through ``vars(self)``; assigning or deleting an attribute then
+    raises FrozenInstanceError.  Equality, hashing and repr read the fields
+    alone, as a frozen dataclass's do.
+    """
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class MaterialProperties(NamedTuple):
     """Per-phase thermal constants of the one material.
 
     Attributes:
@@ -44,8 +76,7 @@ class MaterialProperties:
     l2: float
 
 
-@dataclass(frozen=True)
-class PhaseTemps:
+class PhaseTemps(NamedTuple):
     """Characteristic temperatures: two change temperatures and the initial one.
 
     B is the upper change temperature (fronts 2), C the lower one (front 1),
@@ -58,6 +89,7 @@ class PhaseTemps:
     D: float
 
 
+# the boundary data stay frozen dataclasses: callers read them with asdict
 @dataclass(frozen=True)
 class Robin:
     """Convective surface exchange with a bulk at A_inf, coefficient h0/sqrt(t)."""
@@ -89,16 +121,14 @@ class Neumann:
 BoundarySpec = Union[Robin, Dirichlet, Neumann]
 
 
-@dataclass(frozen=True)
-class StefanNumbers:
+class StefanNumbers(NamedTuple):
     """Dimensionless sensible-to-latent heat ratios of the two transitions."""
 
     ste1: float
     ste2: float
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One validation failure, with a stable machine-readable code."""
 
     code: str
@@ -124,8 +154,10 @@ def stefan_numbers(props: MaterialProperties, temps: PhaseTemps) -> StefanNumber
 
 # record class -> its field names, which are also its JSON keys
 _FIELD_NAMES = {
-    cls: tuple(f.name for f in dataclasses.fields(cls))
-    for cls in (MaterialProperties, PhaseTemps, Robin, Dirichlet, Neumann)
+    MaterialProperties: MaterialProperties._fields,
+    PhaseTemps: PhaseTemps._fields,
+    **{cls: tuple(f.name for f in dataclasses.fields(cls))
+       for cls in (Robin, Dirichlet, Neumann)},
 }
 
 _NOT_FINITE = Violation("NOT_FINITE", "all inputs must be finite numbers")
@@ -259,7 +291,7 @@ _BOUNDARY_KINDS = {cls.kind: cls for cls in (Robin, Dirichlet, Neumann)}
 
 
 def _from_fields(cls, obj: dict):
-    # an instance of the dataclass cls, each field read from obj as a number
+    # an instance of the record class cls, each field read from obj as a number
     return cls(*(_as_number(obj, name) for name in _FIELD_NAMES[cls]))
 
 
@@ -309,8 +341,7 @@ def config_to_dict(
     bc: Optional[BoundarySpec] = None,
 ) -> dict:
     """Serialize typed pieces back to the JSON config mapping."""
-    out = dataclasses.asdict(props)
-    out.update(dataclasses.asdict(temps))
+    out = {**props._asdict(), **temps._asdict()}
     if bc is not None:
         out["boundary"] = boundary_to_dict(bc)
     return out

@@ -19,12 +19,11 @@ import enum
 import math
 import weakref
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import specfun
 from .errors import MissingBoundaryDatum, RegimeError, ValidationError
-from .model import Violation, config_to_dict, require_bulk
+from .model import Violation, _Frozen, config_to_dict, require_bulk
 from .specfun import _inv_erfcx
 from .transcendental import (
     ProblemContext,
@@ -48,8 +47,7 @@ class Regime(enum.Enum):
     THREE_PHASE = "three_phase"
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Critical boundary data separating the regimes.
 
     q1/q2 bound the flux coefficient, h1/h2 the convective coefficient.
@@ -64,7 +62,7 @@ class Thresholds:
     h2: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds:
@@ -124,8 +122,7 @@ def classify_regime(ctx: ProblemContext) -> Regime:
     return Regime.THREE_PHASE
 
 
-@dataclass(frozen=True)
-class ThreePhaseSolution:
+class ThreePhaseSolution(_Frozen):
     """Immutable result of one solve: its context and front coefficients.
 
     The rest is derived on first use.  surface_temp is the (constant in
@@ -135,9 +132,10 @@ class ThreePhaseSolution:
     condition kind; thresh is thresholds(ctx).
     """
 
-    ctx: ProblemContext
-    coef1: float
-    coef2: float
+    _fields = ("ctx", "coef1", "coef2")
+
+    def __init__(self, ctx: ProblemContext, coef1: float, coef2: float):
+        vars(self).update(ctx=ctx, coef1=coef1, coef2=coef2)
 
     # a solution exists only in the three-phase regime
     regime = Regime.THREE_PHASE
@@ -284,6 +282,11 @@ def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
     return sol.coef2 * scale, sol.coef1 * scale
 
 
+def _resolvable(sol: ThreePhaseSolution, t: float) -> bool:
+    # finite t with no alpha*t underflowing: each 2*sqrt(alpha*t) divides x
+    return math.isfinite(t) and min(sol.ctx.alphas) * t > 0.0
+
+
 def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
     # the row in ascending order, the permutation that sorted it (None if xs
     # ascends) and each phase's slice bounds {phase: (start, stop)}, x order
@@ -292,8 +295,8 @@ def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
     finite = math.isfinite(sum(asc)) or all(map(math.isfinite, asc))
     if not (finite and (not asc or asc[0] >= 0.0)):
         raise ValueError("x must be finite and >= 0")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("t must be finite and > 0")
+    if not _resolvable(sol, t):
+        raise ValueError("t must be finite and > 0, with no alpha*t underflowing")
     order = None if asc == list(xs) else sorted(range(len(xs)), key=xs.__getitem__)
     x2, x1 = free_boundaries(sol, t)
     i3 = bisect_right(asc, x2 * (1.0 + _FRONT_BAND))
@@ -342,7 +345,7 @@ def temperature_row(
 
     Raises:
         ValueError: An x is negative or not finite, or t is not a finite
-            positive number.
+            positive number or so small that some alpha*t underflows to 0.
     """
     d = sol.ctx.temps.D
     return [d + e for e in _row(sol, t, xs)]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Optional
 
 from . import specfun
@@ -46,6 +45,7 @@ from .model import (
     Neumann,
     PhaseTemps,
     Robin,
+    _Frozen,
     datum_violations,
     diffusivities,
     require_valid,
@@ -82,8 +82,7 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class ProblemContext:
+class ProblemContext(_Frozen):
     """Validated, immutable bundle of one problem's data.
 
     Construction runs the full model validation, so any context that exists
@@ -98,22 +97,21 @@ class ProblemContext:
     first use and cached; ``solution`` is the solver's result, held weakly.
     """
 
-    props: MaterialProperties
-    temps: PhaseTemps
-    bc: Optional[BoundarySpec] = None
+    _fields = ("props", "temps", "bc")
 
-    def __post_init__(self):
-        p = self.props
-        require_valid(p, self.temps, self.bc)
-        a1, a2, a3 = alphas = diffusivities(p)
-        ste = stefan_numbers(p, self.temps)
+    def __init__(self, props: MaterialProperties, temps: PhaseTemps,
+                 bc: Optional[BoundarySpec] = None):
+        require_valid(props, temps, bc)
+        a1, a2, a3 = alphas = diffusivities(props)
+        ste = stefan_numbers(props, temps)
         vars(self).update(
+            props=props, temps=temps, bc=bc,
             alphas=alphas, alpha1=a1, alpha2=a2, alpha3=a3,
             ste1=ste.ste1, ste2=ste.ste2,
             sigma2=math.sqrt(a1 / a2), sigma3=math.sqrt(a1 / a3),
             _h_offset_coef=(
-                ste.ste2 / _SQRT_PI * (p.l2 / p.l1)
-                * math.sqrt(p.k2 * p.c1 / (p.k1 * p.c2))
+                ste.ste2 / _SQRT_PI * (props.l2 / props.l1)
+                * math.sqrt(props.k2 * props.c1 / (props.k1 * props.c2))
             ),
         )
 

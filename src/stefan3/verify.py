@@ -192,6 +192,7 @@ TOLERANCES = {
 }
 
 
+# a dataclass, so that callers can copy a report with dataclasses.replace
 @dataclass(frozen=True)
 class ResidualReport:
     """All residuals of one solution; TOLERANCES holds their bounds."""

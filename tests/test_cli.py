@@ -182,9 +182,12 @@ def test_map_writes_field_and_fronts(capsys, tmp_path, write_config):
         ["--xmax", "1e308", "--nx", "3"],
         ["--tmax", "1e308", "--nt", "3"],
         ["--tmax", "5e-324", "--nt", "2"],
+        # t is positive, but alpha*t underflows to 0
+        ["--tmax", "1e-320", "--nx", "3", "--nt", "1"],
     ],
     ids=["nx-1", "nt-0", "xmax-negative", "xmax-nan", "xmax-inf", "tmax-inf",
-         "tmax-nan", "tmax-0", "xmax-overflow", "tmax-overflow", "tmax-underflow"],
+         "tmax-nan", "tmax-0", "xmax-overflow", "tmax-overflow", "tmax-underflow",
+         "tmax-scale-underflow"],
 )
 def test_map_rejects_degenerate_grid(capsys, tmp_path, robin_config, grid):
     code, _, err = run_cli(
@@ -196,6 +199,18 @@ def test_map_rejects_degenerate_grid(capsys, tmp_path, robin_config, grid):
     assert "invalid input: BAD_GRID" in err
     # rejected before either CSV file was opened
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+def test_map_writes_a_negative_zero_xmax_as_zero(capsys, tmp_path, robin_config):
+    out = tmp_path / "f.csv"
+    code, _, _ = run_cli(
+        capsys,
+        ["map", "--config", robin_config, "--out", str(out), "--xmax", "-0.0",
+         "--nx", "2", "--nt", "1"],
+    )
+    assert code == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.0", "0.0"]
 
 
 @pytest.mark.parametrize(

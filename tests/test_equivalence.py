@@ -1,6 +1,5 @@
 """Mappings between boundary-condition kinds and their consequence checks."""
 
-import dataclasses
 import math
 
 import mpmath
@@ -200,6 +199,7 @@ def test_report_serialization(ctx_neumann):
     d = neumann_to_robin(ctx_neumann, a_inf=334.0).to_dict()
     assert d["datum_name"] == "h0"
     assert d["hypotheses"][0]["holds"] is True
+    assert list(d["hypotheses"][0]) == ["name", "lhs", "rhs", "holds"]
     # the target is built from the source's pair
     assert d["coef1_delta"] == d["coef2_delta"] == 0.0
     assert d["source"]["kind"] == "neumann" and d["target"]["kind"] == "robin"
@@ -272,6 +272,7 @@ def test_corollaries_reject_a_non_finite_bulk(sol_neumann, a_inf):
 def test_corollary_serialization(sol_neumann):
     d = corollary_checks(sol_neumann)[0].to_dict()
     assert d["relation"] == "<" and d["holds"] is True
+    assert list(d) == ["name", "lhs", "relation", "rhs", "holds"]
 
 
 def test_bulk_floor_and_auxiliary_threshold(ctx_plain):
@@ -331,8 +332,8 @@ def test_auxiliary_threshold_where_its_gap_rounds_to_zero():
     # s2 > B here, so one ulp above the floor A_inf - B is inexact and
     # (A_inf - B) - s2 rounds to 0: h2* is treated as at the floor, not
     # divided by zero
-    props = dataclasses.replace(PROPS, k3=0.00028824)
-    ctx = ProblemContext(props, dataclasses.replace(TEMPS, B=327.5655288592398))
+    props = PROPS._replace(k3=0.00028824)
+    ctx = ProblemContext(props, TEMPS._replace(B=327.5655288592398))
     q2, s2 = _critical(ctx)
     above = math.nextafter(bulk_floor(ctx), math.inf)
     assert s2 > ctx.temps.B and (above - ctx.temps.B) - s2 == 0.0
@@ -412,6 +413,7 @@ def test_auto_satisfaction_guarantee(ctx_plain):
     assert summary.bulk_floor == pytest.approx(E.A_INF_FLOOR_AUTO, rel=1e-12)
     assert summary.h2_star == pytest.approx(E.H2_STAR_360, rel=1e-14)
     assert 50.0 > max(summary.h2, summary.h2_star)
+    assert list(summary.to_dict()) == ["bulk_floor", "h2", "h2_star", "holds"]
     # and the promise is kept: the mapped flux clears its own threshold
     ctx = ProblemContext(PROPS, TEMPS, Robin(h0=50.0, A_inf=360.0))
     margin = solve_robin(ctx).flux_coef - thresholds(ctx).q2

@@ -18,12 +18,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = ("logging", "stefan3.equivalence", "stefan3.verify", "stefan3.cli")
 
 
-def loaded_after(code, log=None):
-    """The WATCHED modules in sys.modules after ``code`` runs."""
+def run_fresh(code, report, log=None):
+    """The JSON value of the expression ``report`` after ``code`` runs."""
     script = "\n".join([
         f"import json, sys; sys.path.insert(0, {str(SRC)!r})",
         code,
-        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))",
+        f"print(json.dumps({report}))",
     ])
     env = {k: v for k, v in os.environ.items() if k != "STEFAN3_LOG"}
     if log is not None:
@@ -33,7 +33,21 @@ def loaded_after(code, log=None):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code, log=None):
+    """The WATCHED modules in sys.modules after ``code`` runs."""
+    return set(run_fresh(code, f"[m for m in {WATCHED!r} if m in sys.modules]", log))
+
+
+# the stefan3 classes that @dataclass built, over every loaded stefan3 module
+DATACLASSES = (
+    "sorted({c.__name__ for n, m in list(sys.modules.items())"
+    " if n.split('.')[0] == 'stefan3' for c in vars(m).values()"
+    " if isinstance(c, type) and c.__module__.startswith('stefan3')"
+    " and '__dataclass_fields__' in vars(c)})"
+)
 
 
 def cli_run(argv):
@@ -49,6 +63,16 @@ def config(tmp_path):
 
 def test_import_loads_no_optional_layer():
     assert loaded_after("import stefan3") == set()
+
+
+def test_only_the_records_callers_copy_by_dataclasses_are_dataclasses():
+    # the boundary data are read with dataclasses.asdict and the two reports
+    # copied with dataclasses.replace; every other record is built without
+    # the decorator, whose class processing is most of an import's cost
+    assert run_fresh("import stefan3", DATACLASSES) == [
+        "Dirichlet", "Neumann", "Robin"]
+    assert run_fresh("import stefan3.equivalence, stefan3.verify", DATACLASSES) == [
+        "Dirichlet", "EquivalenceReport", "Neumann", "ResidualReport", "Robin"]
 
 
 def test_solve_and_map_load_neither_equivalence_verify_nor_logging(

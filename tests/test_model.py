@@ -1,6 +1,5 @@
 """Input model: validation codes, JSON round trips, derived numbers."""
 
-import dataclasses
 import json
 import math
 
@@ -45,9 +44,9 @@ def test_derived_numbers_match_reference():
 
 @pytest.mark.parametrize("field", ["k1", "c2", "rho", "l1", "l2"])
 def test_nonpositive_property_rejected(field):
-    bad = dataclasses.replace(PROPS, **{field: 0.0})
+    bad = PROPS._replace(**{field: 0.0})
     assert "PROPS_NOT_POSITIVE" in codes(validate(bad, TEMPS))
-    bad = dataclasses.replace(PROPS, **{field: -1.0})
+    bad = PROPS._replace(**{field: -1.0})
     assert "PROPS_NOT_POSITIVE" in codes(validate(bad, TEMPS))
 
 
@@ -62,7 +61,7 @@ def test_temperature_ordering_rejected():
 
 def test_diffusivity_order_rejected():
     # alpha2 < alpha3 is structurally unsolvable
-    bad = dataclasses.replace(PROPS, k2=0.1, k3=0.4)
+    bad = PROPS._replace(k2=0.1, k3=0.4)
     assert "DIFFUSIVITY_ORDER" in codes(validate(bad, TEMPS))
 
 
@@ -72,7 +71,7 @@ def test_equal_diffusivities_warn_but_pass():
 
 
 def test_non_finite_rejected():
-    bad = dataclasses.replace(PROPS, k1=math.nan)
+    bad = PROPS._replace(k1=math.nan)
     assert codes(validate(bad, TEMPS)) == {"NOT_FINITE"}
     assert "NOT_FINITE" in codes(
         validate(PROPS, TEMPS, Robin(h0=math.inf, A_inf=334.0))
@@ -97,7 +96,7 @@ def test_boundary_data_rejected():
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_stefan_numbers_scale_with_latent_heat(factor):
     # halving l scales Ste accordingly: Ste * l is an invariant of temps
-    scaled = dataclasses.replace(PROPS, l1=PROPS.l1 * factor, l2=PROPS.l2 * factor)
+    scaled = PROPS._replace(l1=PROPS.l1 * factor, l2=PROPS.l2 * factor)
     ste0 = stefan_numbers(PROPS, TEMPS)
     ste1 = stefan_numbers(scaled, TEMPS)
     assert ste1.ste1 * factor == pytest.approx(ste0.ste1, rel=1e-12)
@@ -110,6 +109,7 @@ def test_config_round_trip(kind):
     props, temps, bc = config_from_dict(obj)
     assert bc is not None and bc.kind == kind
     assert config_to_dict(props, temps, bc) == obj
+    assert list(config_to_dict(props, temps, bc)) == list(obj)
 
 
 def test_config_without_boundary_section():

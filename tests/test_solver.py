@@ -1,5 +1,6 @@
 """Solvers, regime logic, and temperature reconstruction."""
 
+import dataclasses
 import json
 import math
 import random
@@ -86,7 +87,8 @@ def test_thresholds_match_reference(ctx_robin, ctx_plain):
     # without a bulk temperature the convective pair does not exist
     th = thresholds(ctx_plain)
     assert th.h1 is None and th.h2 is None
-    assert "h1" not in th.to_dict()
+    assert list(th.to_dict()) == ["z0", "q1", "q2"]
+    assert list(thresholds(ctx_robin).to_dict()) == ["z0", "q1", "q2", "h1", "h2"]
 
 
 def test_convective_thresholds_are_the_flux_thresholds_through_the_law():
@@ -259,6 +261,8 @@ def test_temperature_domain_guards(sol_robin):
         evaluate_temperature(sol_robin, 0.1, 0.0)
     with pytest.raises(ValueError):
         evaluate_temperature(sol_robin, math.nan, 1.0)
+    with pytest.raises(ValueError):  # alpha*t underflows to 0
+        evaluate_temperature(sol_robin, 1.0, 1e-320)
 
 
 def test_excess_consistency(sol_neumann):
@@ -458,14 +462,40 @@ def test_solve_calls_thresholds_only_to_classify(bc, searches, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["sol_robin", "sol_dirichlet", "sol_neumann"])
 def test_a_solution_is_its_context_and_two_coefficients(fixture, request):
-    import dataclasses
-
     sol = request.getfixturevalue(fixture)
-    assert [f.name for f in dataclasses.fields(sol)] == ["ctx", "coef1", "coef2"]
+    assert list(sol._fields) == ["ctx", "coef1", "coef2"]
     assert sol.kind == sol.ctx.bc.kind and sol.regime is Regime.THREE_PHASE
     same = perturbed(sol, 0.0, 0.0)
     assert same == sol and hash(same) == hash(sol)
     assert same.to_dict() == sol.to_dict()
+
+
+def test_records_read_and_hash_as_their_fields(ctx_robin, sol_robin):
+    ctx = (
+        "ProblemContext(props=MaterialProperties(k1=0.2, k2=0.2, k3=0.2, "
+        "c1=2.0, c2=2.0, c3=2.0, rho=770.0, l1=160.0, l2=150.0), "
+        "temps=PhaseTemps(B=328.0, C=324.0, D=320.0), "
+        "bc=Robin(h0=100.0, A_inf=334.0))"
+    )
+    assert repr(ctx_robin) == ctx
+    assert repr(sol_robin) == (
+        f"ThreePhaseSolution(ctx={ctx}, coef1={sol_robin.coef1!r}, "
+        f"coef2={sol_robin.coef2!r})"
+    )
+    assert hash(ctx_robin) == hash((ctx_robin.props, ctx_robin.temps, ctx_robin.bc))
+    # a fresh solve of an equal context is an equal, equally hashed solution,
+    # but neither record equals the tuple of its fields
+    again = solve(ProblemContext(ctx_robin.props, ctx_robin.temps, ctx_robin.bc))
+    assert again is not sol_robin
+    assert again == sol_robin and hash(again) == hash(sol_robin)
+    assert ctx_robin != (ctx_robin.props, ctx_robin.temps, ctx_robin.bc)
+    # the value records are named tuples, equal to their fields' tuple
+    assert ctx_robin.temps == (328.0, 324.0, 320.0)
+    for attr in ("coef1", "cache"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sol_robin, attr, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del sol_robin.coef1
 
 
 def _row_solutions(sol_robin, sol_dirichlet, sol_neumann):
@@ -543,9 +573,14 @@ def test_rows_equal_the_point_reference_bit_for_bit(
         ([0.01], math.inf),
         ([0.01], math.nan),
         ([], 0.0),
+        # positive, but alpha*t underflows to 0, and with it the scale
+        # 2*sqrt(alpha*t) that x is divided by
+        ([1.0], 1e-320),
+        ([0.0, 1.0], 1e-320),
     ],
     ids=["nan-x", "nan-first", "negative-x", "inf-x", "minus-inf-x", "t-zero",
-         "t-negative", "t-inf", "t-nan", "empty-t-zero"],
+         "t-negative", "t-inf", "t-nan", "empty-t-zero", "t-subnormal",
+         "row-t-subnormal"],
 )
 def test_profile_row_rejects_points_outside_the_domain(sol_robin, xs, t):
     # the row's checks, and phase_profile's at the row's first bad point (or
