@@ -37,14 +37,7 @@ from .errors import (
 )
 from .model import _BOUNDARY_KINDS, Violation, load_config
 from .transcendental import ProblemContext
-from .solver import (
-    _resolvable,
-    free_boundaries,
-    perturbed,
-    solve,
-    temperature_row,
-    thresholds,
-)
+from .solver import _grid, _resolvable, free_boundaries, perturbed, solve, thresholds
 
 
 def __getattr__(name):
@@ -182,32 +175,35 @@ def cmd_map(args) -> int:
             [Violation("BAD_GRID", "need finite tmax > 0, finite xmax >= 0, "
                        "nx >= 2 and nt >= 1")]
         )
+    ts = [tmax * (i + 1) / nt for i in range(nt)]
+    # ts ascends, so its ends bound every time
+    if not (_resolvable(sol, ts[0]) and math.isfinite(ts[-1])):
+        raise ValidationError([Violation(
+            "BAD_GRID", f"grid times overflow or underflow: t runs from "
+            f"{ts[0]!r} to {ts[-1]!r}")])
     if xmax is None:
         xmax = 2.0 * free_boundaries(sol, tmax)[1]
-    ts = [tmax * (i + 1) / nt for i in range(nt)]
     xs = [abs(xmax) * j / (nx - 1) for j in range(nx)]  # abs: -0.0 writes 0.0
-    # both lists ascend, so their ends bound every point
-    if not (_resolvable(sol, ts[0]) and math.isfinite(ts[-1])
-            and math.isfinite(xs[-1])):
+    if not math.isfinite(xs[-1]):
         raise ValidationError([Violation(
-            "BAD_GRID", f"grid points overflow or underflow: t runs from "
-            f"{ts[0]!r} to {ts[-1]!r} and x to {xs[-1]!r}")])
+            "BAD_GRID", f"grid points overflow: x runs to {xs[-1]!r}")])
     t_cells = [f"{t!r}," for t in ts]
     # x, t, temperature and newline cells per point, reused for every row
     cells = ["\n"] * (4 * nx)
     cells[0::4] = [f"{x!r}," for x in xs]
+    fronts_rows = ["t,x2,x1\n"]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,t,temperature\n")
-        for t, t_cell in zip(ts, t_cells):
+        # each time's fronts and field row come from one pass of the grid
+        for t_cell, (x2, x1, row) in zip(
+                t_cells, _grid(sol, ts, xs, sol.ctx.temps.D)):
             cells[1::4] = [t_cell] * nx
-            cells[2::4] = map(repr, temperature_row(sol, t, xs))
+            cells[2::4] = map(repr, row)
             fh.write("".join(cells))
+            fronts_rows.append(f"{t_cell}{x2!r},{x1!r}\n")
     fronts = _fronts_path(args.out)
     with open(fronts, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x2,x1\n")
-        for t, t_cell in zip(ts, t_cells):
-            x2, x1 = free_boundaries(sol, t)
-            fh.write(f"{t_cell}{x2!r},{x1!r}\n")
+        fh.write("".join(fronts_rows))
     log.info("wrote %d rows to %s and %d rows to %s", nx * nt, args.out, nt,
              fronts)
     return 0

@@ -7,16 +7,19 @@ in the similarity variable x/(2*sqrt(alpha_i*t)).  Everything else is
 derived from those on first use.  The boundary kind enters only through
 its record, transcendental.surface_law(bc), and through solve, which
 calls solve_<kind> by its name in this module; one guard, _of_kind,
-checks the datum's kind for those and for the named mappings.  A row of
-x values at one time, in any order, is cut once at the fronts into its
-phase slices, and each slice is evaluated by its phase's formula with no
-per-point branch.
+checks the datum's kind for those and for the named mappings.  Every
+field evaluation runs through one grid generator, _grid: it checks and
+orders a row of x values once, takes the fronts once per time, cuts the
+row there into at most three phase slices and runs each through its
+phase's kernel, a function bound once per solution to its constants, with
+no per-point phase test.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import weakref
 from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
@@ -172,7 +175,7 @@ class ThreePhaseSolution(_Frozen):
     @_cached
     def _excess_constants(self) -> tuple[float, ...]:
         # every per-solution constant of the three excess formulas, in the
-        # order _phase_excess unpacks them; the span reuses erf(coef1*sigma2)
+        # order _kernels unpacks them; the span reuses erf(coef1*sigma2)
         c = self.ctx
         t_ = c.temps
         at_front1 = specfun.erf(self.coef1 * c.sigma2)
@@ -185,6 +188,42 @@ class ThreePhaseSolution(_Frozen):
             at_front1 - specfun.erf(self.coef2 * c.sigma2),
             specfun.erfc(self.coef1),
         )
+
+    @_cached
+    def _kernels(self) -> tuple:
+        # the field kernel of phases 1, 2 and 3: kernel(t, xs, base) is base
+        # plus the phase's excess above D at every x of xs.  Built on the
+        # first evaluation; each looks specfun up once per call, so that a
+        # wrapper installed on it later still sees every point
+        surface, slope3, solid, rise, at_front1, span2, erfc1 = (
+            self._excess_constants)
+        a1, a2, a3 = self.ctx.alphas
+        sqrt = math.sqrt
+
+        def phase3(t, xs, base):
+            d, f = 2.0 * sqrt(a3 * t), specfun.erf
+            return [base + (surface - slope3 * f(x / d)) for x in xs]
+
+        def phase2(t, xs, base):
+            d, f = 2.0 * sqrt(a2 * t), specfun.erf
+            return [base + (solid + rise * (at_front1 - f(x / d)) / span2)
+                    for x in xs]
+
+        if erfc1 == 0.0:  # erfc(coef1) underflowed: erfc(eta)/erfc(c) as
+            # exp((c - eta)(c + eta)) * _inv_erfcx(c) / _inv_erfcx(eta)
+            c, inv_c = self.coef1, _inv_erfcx(self.coef1)
+
+            def phase1(t, xs, base):
+                d = 2.0 * sqrt(a1 * t)
+                return [base + solid * (math.exp((c - e) * (c + e)) * inv_c
+                                        / _inv_erfcx(e))
+                        for e in (x / d for x in xs)]
+        else:
+            def phase1(t, xs, base):
+                d, f = 2.0 * sqrt(a1 * t), specfun.erfc
+                return [base + solid * f(x / d) / erfc1 for x in xs]
+
+        return phase1, phase2, phase3
 
     def to_dict(self) -> dict:
         return {
@@ -274,64 +313,70 @@ def solve(ctx: ProblemContext) -> ThreePhaseSolution:
     return globals()[f"solve_{ctx.bc.kind}"](ctx)
 
 
-def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
-    """Front positions (x2, x1) at time t > 0, with x2 < x1."""
-    if not t > 0.0:
-        raise ValueError("t must be > 0")
-    scale = 2.0 * math.sqrt(sol.ctx.alpha1 * t)
-    return sol.coef2 * scale, sol.coef1 * scale
-
-
 def _resolvable(sol: ThreePhaseSolution, t: float) -> bool:
     # finite t with no alpha*t underflowing: each 2*sqrt(alpha*t) divides x
     return math.isfinite(t) and min(sol.ctx.alphas) * t > 0.0
 
 
-def _cut(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> tuple:
-    # the row in ascending order, the permutation that sorted it (None if xs
-    # ascends) and each phase's slice bounds {phase: (start, stop)}, x order
-    asc = sorted(xs)
-    # a finite sum rules out NaN and infinities, and then asc is in order
-    finite = math.isfinite(sum(asc)) or all(map(math.isfinite, asc))
-    if not (finite and (not asc or asc[0] >= 0.0)):
-        raise ValueError("x must be finite and >= 0")
+def _check_t(sol: ThreePhaseSolution, t: float) -> None:
     if not _resolvable(sol, t):
         raise ValueError("t must be finite and > 0, with no alpha*t underflowing")
-    order = None if asc == list(xs) else sorted(range(len(xs)), key=xs.__getitem__)
-    x2, x1 = free_boundaries(sol, t)
+
+
+def free_boundaries(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
+    """Front positions (x2, x1) at time t > 0, with x2 < x1.
+
+    Raises:
+        ValueError: t is not a finite positive number or so small that
+            some alpha*t underflows to 0.
+    """
+    _check_t(sol, t)
+    scale = 2.0 * math.sqrt(sol.ctx.alpha1 * t)
+    return sol.coef2 * scale, sol.coef1 * scale
+
+
+def _ordered(xs: Sequence[float]) -> tuple:
+    # xs ascending, and the positions that put an ascending row back in xs's
+    # order (None when xs ascends already)
+    # a finite sum rules out NaN and infinities; an overflowing one does not
+    if not ((math.isfinite(sum(xs)) or all(map(math.isfinite, xs)))
+            and (not xs or min(xs) >= 0.0)):
+        raise ValueError("x must be finite and >= 0")
+    if all(map(operator.le, xs, xs[1:])):
+        return xs, None
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    return [xs[i] for i in order], sorted(range(len(xs)), key=order.__getitem__)
+
+
+def _split(asc: Sequence[float], x2: float, x1: float) -> tuple[int, int]:
+    # where phases 3 and 2 of the ascending row end: a point within
+    # _FRONT_BAND (relative) above a front belongs to the phase below it
     i3 = bisect_right(asc, x2 * (1.0 + _FRONT_BAND))
-    i2 = bisect_right(asc, x1 * (1.0 + _FRONT_BAND), i3)
-    return asc, order, {3: (0, i3), 2: (i3, i2), 1: (i2, len(asc))}
+    return i3, bisect_right(asc, x1 * (1.0 + _FRONT_BAND), i3)
+
+
+def _grid(sol: ThreePhaseSolution, ts: Sequence[float], xs: Sequence[float],
+          base: float):
+    # for each t of ts, (x2, x1, row): the fronts at t and base plus the
+    # excess above D at every x of xs, in xs's order.  xs is checked and
+    # ordered once; each row is cut at its fronts, and each non-empty slice
+    # runs through its phase's kernel
+    asc, pos = _ordered(xs)
+    for t in ts:
+        x2, x1 = free_boundaries(sol, t)
+        i3, i2 = _split(asc, x2, x1)
+        kernel1, kernel2, kernel3 = sol._kernels
+        row = kernel3(t, asc[:i3], base) if i3 else []
+        if i3 < i2:
+            row += kernel2(t, asc[i3:i2], base)
+        if i2 < len(asc):
+            row += kernel1(t, asc[i2:], base)
+        yield x2, x1, row if pos is None else [row[i] for i in pos]
 
 
 def _phase_excess(sol: ThreePhaseSolution, phase: int, t: float, xs: Sequence) -> list:
-    # the given phase's closed-form excess above D at every x of xs
-    d = 2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)
-    f = specfun.erfc if phase == 1 else specfun.erf
-    surface, slope3, solid, rise, at_front1, span2, erfc1 = sol._excess_constants
-    if phase == 3:
-        return [surface - slope3 * f(x / d) for x in xs]
-    if phase == 2:
-        return [solid + rise * (at_front1 - f(x / d)) / span2 for x in xs]
-    if erfc1 == 0.0:  # erfc(coef1) underflowed: erfc(eta)/erfc(c) as
-        # exp((c - eta)(c + eta)) * _inv_erfcx(c) / _inv_erfcx(eta)
-        c, inv_c = sol.coef1, _inv_erfcx(sol.coef1)
-        return [solid * (math.exp((c - e) * (c + e)) * inv_c / _inv_erfcx(e))
-                for e in (x / d for x in xs)]
-    return [solid * f(x / d) / erfc1 for x in xs]
-
-
-def _row(sol: ThreePhaseSolution, t: float, xs: Sequence[float]) -> list:
-    # the excess above D at every x of xs: _phase_excess on each non-empty
-    # phase slice of the ascending row, put back in xs's order
-    asc, order, cuts = _cut(sol, t, xs)
-    values = []
-    for phase, (lo, hi) in cuts.items():
-        if lo < hi:
-            values += _phase_excess(sol, phase, t, asc[lo:hi])
-    if order is not None:  # back to xs's order
-        values = [v for _, v in sorted(zip(order, values))]
-    return values
+    # the given phase's excess above D at every x of xs, by its field kernel
+    return sol._kernels[phase - 1](t, xs, 0.0)
 
 
 def temperature_row(
@@ -347,8 +392,7 @@ def temperature_row(
         ValueError: An x is negative or not finite, or t is not a finite
             positive number or so small that some alpha*t underflows to 0.
     """
-    d = sol.ctx.temps.D
-    return [d + e for e in _row(sol, t, xs)]
+    return next(_grid(sol, (t,), xs, sol.ctx.temps.D))[2]
 
 
 def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
@@ -358,7 +402,7 @@ def temperature_excess(sol: ThreePhaseSolution, x: float, t: float) -> float:
     floating-point granularity matches the temperature differences that
     drive the physics, which downstream difference-based checks rely on.
     """
-    return _row(sol, t, (x,))[0]
+    return next(_grid(sol, (t,), (x,), 0.0))[2][0]
 
 
 def evaluate_temperature(sol: ThreePhaseSolution, x: float, t: float) -> float:
@@ -373,10 +417,12 @@ def phase_profile(sol: ThreePhaseSolution, x: float, t: float) -> tuple[int, flo
     phases and w = erfc(...) for the solid.  The temperature in phase i is
     a_i + b_i*w with constants a_i, b_i, so any linear functional of the
     temperature, such as a heat-equation residual, can be evaluated on w
-    alone with perfect relative conditioning.  It cuts and raises as
-    temperature_row.
+    alone with perfect relative conditioning.  It checks, cuts and raises
+    as temperature_row, and runs no kernel.
     """
-    phase = next(p for p, (lo, hi) in _cut(sol, t, (x,))[2].items() if lo < hi)
+    asc, _ = _ordered((x,))
+    i3, i2 = _split(asc, *free_boundaries(sol, t))
+    phase = 3 if i3 else 2 if i2 else 1
     # looked up per call, so a wrapper installed on specfun sees it
     f = specfun.erfc if phase == 1 else specfun.erf
     return phase, f(x / (2.0 * math.sqrt(sol.ctx.alphas[phase - 1] * t)))
@@ -387,9 +433,11 @@ def surface_values(sol: ThreePhaseSolution, t: float) -> tuple[float, float]:
 
     The temperature is constant in time; the flux is -flux_coef/sqrt(t)
     with the coefficient available separately as ``sol.flux_coef``.
+
+    Raises:
+        ValueError: As free_boundaries, for a t it cannot resolve.
     """
-    if not t > 0.0:
-        raise ValueError("t must be > 0")
+    _check_t(sol, t)
     return sol.surface_temp, -sol.flux_coef / math.sqrt(t)
 
 

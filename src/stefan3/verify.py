@@ -2,8 +2,8 @@
 
 Five independent checks, each reported as a dimensionless residual:
 
-* heat: departure of each phase's field, as the field kernel of
-  temperature_row and map writes it, from the form a + b*f(eta) with
+* heat: departure of each phase's field, as the phase kernel that map and
+  temperature_row run writes it, from the form a + b*f(eta) with
   constant a and b, f = erf (erfc in the solid) of the phase's own
   similarity variable eta = x/(2*sqrt(alpha_i*t)).  A field of that form
   satisfies the heat equation because f does, which the tests check of
@@ -56,10 +56,11 @@ def heat_residual(sol: ThreePhaseSolution) -> dict[str, float]:
 
     The field in each phase is a + b*f(eta), f = erf in phases 2 and 3 and
     erfc in phase 1, with constant a and b, so it satisfies the heat
-    equation because f does.  The check samples _phase_excess, the kernel
-    of temperature_row and map, at HEAT_SAMPLES evenly spaced eta between
-    the phase's ends and at each of HEAT_TIMES; fits a and b through the
-    first and last sample at the first time; and returns the largest
+    equation because f does.  The check samples _phase_excess (the phase
+    kernel that map and temperature_row run, with a base of 0) at
+    HEAT_SAMPLES evenly spaced eta between the phase's ends and at each of
+    HEAT_TIMES; fits a and b through the first and last sample at the
+    first time; and returns the largest
     deviation from that fit over the largest |value|.  Phase 1 runs from
     the outer front to three diffusion lengths past it, where its excess
     has decayed by at least e^-9, and takes f as erfc(eta)/erfc(coef1) in

@@ -292,6 +292,17 @@ def test_surface_values(sol_robin, sol_neumann):
         surface_values(sol_robin, -1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, 1e-320],
+                         ids=["t-inf", "t-nan", "t-subnormal"])
+def test_fronts_and_surface_take_the_field_time_guard(sol_robin, t):
+    # the t that temperature_row refuses: not finite, or so small that some
+    # alpha*t underflows to 0 (free_boundaries returned (inf, inf) and
+    # surface_values a flux of -0.0 at t = inf)
+    for fn in (free_boundaries, surface_values):
+        with pytest.raises(ValueError, match="alpha"):
+            fn(sol_robin, t)
+
+
 def test_solution_serialization_round_trips(sol_robin):
     d = sol_robin.to_dict()
     blob = json.dumps(d)
@@ -603,7 +614,10 @@ def test_a_single_point_runs_one_phase_kernel(sol_robin, monkeypatch):
 
     spy(specfun, "erf", "erf")
     spy(specfun, "erfc", "erfc")
-    spy(solver, "_phase_excess", "kernel")
+    # the solution's phase kernels, bound on their first read
+    kernels = sol_robin._kernels
+    monkeypatch.setitem(vars(sol_robin), "_kernels", tuple(
+        lambda *a, k=k: calls.append("kernel") or k(*a) for k in kernels))
     x2, x1 = free_boundaries(sol_robin, 1.0)
     for x, profile in ((0.5 * x2, "erf"), (0.5 * (x1 + x2), "erf"), (2.0 * x1, "erfc")):
         for point in (evaluate_temperature, temperature_excess, phase_profile):
