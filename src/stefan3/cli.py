@@ -40,14 +40,6 @@ from .transcendental import ProblemContext
 from .solver import _grid, _resolvable, free_boundaries, perturbed, solve, thresholds
 
 
-def __getattr__(name):
-    # equiv's mapping and verify's full_report, from the package's lazy names
-    if name in ("mapping", "full_report"):
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-_cli = sys.modules[__name__]  # commands read those two through it, patches too
 log = _QUIET = types.SimpleNamespace(debug=lambda *a: None, info=lambda *a: None)
 
 
@@ -144,7 +136,10 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    rep = _cli.mapping(_require_bc(_context(args.config)), args.to, a_inf=args.a_inf)
+    # imported on use: importing the CLI loads neither equivalence nor verify
+    from .equivalence import mapping
+
+    rep = mapping(_require_bc(_context(args.config)), args.to, a_inf=args.a_inf)
     log.info("mapped %s -> %s: %s=%r", rep.source_kind, rep.target_kind,
              rep.datum_name, rep.mapped_value)
     _emit(rep.to_dict())
@@ -214,7 +209,9 @@ def cmd_verify(args) -> int:
     if args.perturb is not None:
         log.info("perturbing both coefficients by %r", args.perturb)
         sol = perturbed(sol, args.perturb, args.perturb)
-    rep = _cli.full_report(sol)
+    from .verify import full_report
+
+    rep = full_report(sol)
     _emit(rep.to_dict())
     if not rep.passes:
         log.info("verification failed: %s", ", ".join(rep.failures()))

@@ -146,10 +146,46 @@ def diffusivities(props: MaterialProperties) -> tuple[float, float, float]:
 
 def stefan_numbers(props: MaterialProperties, temps: PhaseTemps) -> StefanNumbers:
     """Ste1 = c1*(C - D)/l1 and Ste2 = c2*(B - C)/l2."""
-    return StefanNumbers(
-        ste1=props.c1 * (temps.C - temps.D) / props.l1,
-        ste2=props.c2 * (temps.B - temps.C) / props.l2,
+    return StefanNumbers(  # positional: keywords make it twice as slow
+        props.c1 * (temps.C - temps.D) / props.l1,
+        props.c2 * (temps.B - temps.C) / props.l2,
     )
+
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def material_constants(props: MaterialProperties, temps: PhaseTemps) -> Optional[dict]:
+    """The constants a ProblemContext derives from the material, or None.
+
+    They are the diffusivities ``alphas`` (also ``alpha1``..``alpha3``),
+    the Stefan numbers ``ste1`` and ``ste2``, ``sigma2`` =
+    sqrt(alpha1/alpha2), which rescales an outer-front coefficient into
+    phase 2's similarity variable, ``sigma3`` = sqrt(alpha1/alpha3) and
+    ``_h_offset_coef``, the coefficient c of the term h subtracts.  None
+    when one of them, or a product rho*c_i, is not finite and positive in
+    floating point; each divisor is checked before it divides.  The data
+    must be finite and positive, with B > C > D.
+    """
+    # chained comparisons, which a NaN fails, and no helper calls: validate
+    # and ProblemContext each run this once per context
+    p, inf = props, math.inf
+    if not (0.0 < p.rho * p.c1 < inf and 0.0 < p.rho * p.c2 < inf
+            and 0.0 < p.rho * p.c3 < inf and 0.0 < p.k1 * p.c2 < inf):
+        return None
+    a1, a2, a3 = alphas = diffusivities(p)
+    if not (0.0 < a1 < inf and 0.0 < a2 < inf and 0.0 < a3 < inf):
+        return None
+    ste1, ste2 = stefan_numbers(p, temps)
+    sigma2, sigma3 = math.sqrt(a1 / a2), math.sqrt(a1 / a3)
+    offset = (ste2 / _SQRT_PI * (p.l2 / p.l1)
+              * math.sqrt(p.k2 * p.c1 / (p.k1 * p.c2)))
+    if not (0.0 < ste1 < inf and 0.0 < ste2 < inf and 0.0 < sigma2 < inf
+            and 0.0 < sigma3 < inf and 0.0 < offset < inf):
+        return None
+    return {"alphas": alphas, "alpha1": a1, "alpha2": a2, "alpha3": a3,
+            "ste1": ste1, "ste2": ste2, "sigma2": sigma2, "sigma3": sigma3,
+            "_h_offset_coef": offset}
 
 
 # record class -> its field names, which are also its JSON keys
@@ -161,6 +197,8 @@ _FIELD_NAMES = {
 }
 
 _NOT_FINITE = Violation("NOT_FINITE", "all inputs must be finite numbers")
+_MATERIAL_RANGE = Violation(
+    "MATERIAL_RANGE", "the material's derived constants must be finite and > 0")
 
 # boundary class -> its datum's checks against the temperatures, in report
 # order: (code, message, fails(datum, temps)) on finite values
@@ -212,10 +250,9 @@ def validate(
     Returns:
         List of Violation records, empty when valid.
     """
-    values = [getattr(x, f) for x in (props, temps) for f in _FIELD_NAMES[type(x)]]
     datum = datum_violations(temps, bc)
     # any non-finite input, the datum's included, is the one violation
-    if not all(math.isfinite(v) for v in values) or _NOT_FINITE in datum:
+    if not all(map(math.isfinite, [*props, *temps])) or _NOT_FINITE in datum:
         return [_NOT_FINITE]
 
     out: list[Violation] = []
@@ -229,15 +266,17 @@ def validate(
         )
 
     if not out:
-        a1, a2, a3 = diffusivities(props)
-        if a2 < a3:
+        constants = material_constants(props, temps)
+        if constants is None:
+            out.append(_MATERIAL_RANGE)
+        elif constants["alpha2"] < constants["alpha3"]:
             out.append(
                 Violation(
                     "DIFFUSIVITY_ORDER",
                     "liquid diffusivities must satisfy alpha2 >= alpha3",
                 )
             )
-        elif a2 == a3:
+        elif constants["alpha2"] == constants["alpha3"]:
             warnings.warn(
                 "alpha2 == alpha3: solvability is only established for "
                 "alpha2 > alpha3",

@@ -3,7 +3,7 @@
 Everything the solvers need is expressed through a few scalar functions of
 the front coefficients:
 
-* ``phi``: strictly increasing kernel entering the solid-side balance.
+* phi(z) = z + (Ste1/sqrt(pi))*exp(-z^2)/erfc(z): the solid-side kernel.
 * h(z) = erf(z*sigma2) - c*exp(-z^2 alpha1/alpha2)/phi(z): strictly
   increasing, and its unique positive zero ``z0`` bounds the admissible
   outer front coefficient from below.  Above z0, ``coef2_from_coef1``
@@ -24,7 +24,7 @@ the front coefficients:
   bracket, for z0 and for the outer coefficient.
 
 The point-by-point forms live in the tests' reference module,
-``tests/_reference.py``: ``h_func``, ``q_func`` and the law's
+``tests/_reference.py``: ``phi``, ``h_func``, ``q_func`` and the law's
 ``law_residual``, which the fused kernels equal bit for bit, and the
 paper's per-kind right-hand sides (``t_func``/``u_func``, ``v_func``,
 ``p_func``), whose equation has the same signs and root.
@@ -45,14 +45,12 @@ from .model import (
     Neumann,
     PhaseTemps,
     Robin,
+    _SQRT_PI,
     _Frozen,
     datum_violations,
-    diffusivities,
+    material_constants,
     require_valid,
-    stefan_numbers,
 )
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # exp() saturation guard: bracket doubling can probe arguments far past the
 # root, where the true value overflows float64.  Saturating keeps the sign
@@ -87,12 +85,7 @@ class ProblemContext(_Frozen):
 
     Construction runs the full model validation, so any context that exists
     describes a well-posed problem, and then sets the material constants
-    from the material and temperatures alone: the diffusivities ``alphas``
-    (also ``alpha1``..``alpha3``), the Stefan numbers ``ste1`` and
-    ``ste2``, ``sigma2`` = sqrt(alpha1/alpha2), which rescales an
-    outer-front coefficient into phase 2's similarity variable, ``sigma3``
-    = sqrt(alpha1/alpha3) and ``_h_offset_coef``, the coefficient c of the
-    term h subtracts.
+    of ``model.material_constants``, each finite and positive.
     The zero ``z0``, the one constant that needs a search, is computed on
     first use and cached; ``solution`` is the solver's result, held weakly.
     """
@@ -102,18 +95,8 @@ class ProblemContext(_Frozen):
     def __init__(self, props: MaterialProperties, temps: PhaseTemps,
                  bc: Optional[BoundarySpec] = None):
         require_valid(props, temps, bc)
-        a1, a2, a3 = alphas = diffusivities(props)
-        ste = stefan_numbers(props, temps)
-        vars(self).update(
-            props=props, temps=temps, bc=bc,
-            alphas=alphas, alpha1=a1, alpha2=a2, alpha3=a3,
-            ste1=ste.ste1, ste2=ste.ste2,
-            sigma2=math.sqrt(a1 / a2), sigma3=math.sqrt(a1 / a3),
-            _h_offset_coef=(
-                ste.ste2 / _SQRT_PI * (props.l2 / props.l1)
-                * math.sqrt(props.k2 * props.c1 / (props.k1 * props.c2))
-            ),
-        )
+        vars(self).update(props=props, temps=temps, bc=bc,
+                          **material_constants(props, temps))
 
     @_cached
     def z0(self) -> float:
@@ -151,26 +134,6 @@ class ProblemContext(_Frozen):
         return ctx
 
 
-def phi(z: float, ctx: ProblemContext) -> float:
-    """phi(z) = z + (Ste1/sqrt(pi)) * exp(-z^2)/erfc(z), for z >= 0.
-
-    Strictly increasing from phi(0) = Ste1/sqrt(pi); the quotient is
-    evaluated in ratio form so large z does not underflow.
-    """
-    if z < 0.0:
-        raise ValueError("phi is defined for z >= 0")
-    return z + ctx.ste1 / _SQRT_PI * specfun._inv_erfcx(z)
-
-
-def _h_subtracted(z: float, ctx: ProblemContext) -> float:
-    # the strictly positive term subtracted from erf(z*sigma2) in h
-    return (
-        ctx._h_offset_coef
-        * math.exp(-z * z * ctx.alpha1 / ctx.alpha2)
-        / phi(z, ctx)
-    )
-
-
 def coef2_from_coef1(z: float, ctx: ProblemContext) -> float:
     """Inner-front coefficient matched to an outer coefficient z > z0.
 
@@ -178,8 +141,14 @@ def coef2_from_coef1(z: float, ctx: ProblemContext) -> float:
     inversion goes through the complementary tail erfc = 1 - h, which
     keeps full precision where h is within rounding distance of 1;
     forming 1 - h after the fact would lose the answer entirely there.
+    The tail is formed as outer_residual forms it, to the bit.  Raises
+    ValueError for z < 0, and where z is so far below z0 that h(z) < -1.
     """
-    tail = specfun.erfc(z * ctx.sigma2) + _h_subtracted(z, ctx)
+    if z < 0.0:
+        raise ValueError("coef2_from_coef1 is defined for z >= 0")
+    ph = z + ctx.ste1 / _SQRT_PI * specfun._inv_erfcx(z)
+    u = ctx._h_offset_coef * math.exp(-z * z * ctx.alpha1 / ctx.alpha2) / ph
+    tail = specfun.erfc(z * ctx.sigma2) + u
     if tail <= 0.0:
         scaled = _INNER_SATURATION
     elif tail >= 2.0:
@@ -347,8 +316,7 @@ def find_root_monotone(
     most 200 times, only where a step falls back; a step that crosses the
     root first saves f(1).  The search stops only inside a sign bracket,
     once the Newton step from an evaluated end is at most 4 units in the
-    last place; a forward step that small before the sign changes moves
-    that far past itself instead.  The result is bit-reproducible.
+    last place.  The result is bit-reproducible.
 
     Returns:
         The end of that last step, a point where f is 0, or, where float
@@ -398,12 +366,9 @@ def find_root_monotone(
             t = x - s
         else:
             t = size = nan
-        bound = 4.0 * math.ulp(t)
         fast = size <= 0.25 * last
-        if zl <= t <= zh and size <= bound and (bracketed or s < 0.0):
-            if bracketed:
-                return t
-            t, last = min(t + bound, zh), 0.0
+        if bracketed and zl <= t <= zh and size <= 4.0 * math.ulp(t):
+            return t
         elif zl < t < zh and size < 0.5 * older and (fast or zh - zl <= cap):
             older, step, last = step, size, size
         elif not bracketed:

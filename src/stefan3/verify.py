@@ -7,13 +7,17 @@ Five independent checks, each reported as a dimensionless residual:
   constant a and b, f = erf (erfc in the solid) of the phase's own
   similarity variable eta = x/(2*sqrt(alpha_i*t)).  A field of that form
   satisfies the heat equation because f does, which the tests check of
-  specfun itself.
+  specfun itself.  Where erf is nearly linear over a thin phase 2, a
+  fault local to phase 2's kernel can stay under HEAT_TOL: over 1,050
+  solves of a wide family, alpha2*1.001 did on 21 and t*1.3 on 2, and
+  the interface probes caught every one.
 * interface: temperature continuity at both fronts, probed with the closed
   form of each adjacent phase.
 * stefan: energy balance at both fronts from the analytic one-sided
   gradients.
 * boundary: the surface condition the solution claims to satisfy.
-* far_field: decay to the initial temperature far beyond the outer front.
+* far_field: decay to the initial temperature at FAR_FIELD_PROBE times
+  the outer front.
 
 Every check but heat runs once, at t = 1.  Both fronts sit at fixed values
 of each phase's eta, so those residuals are functions of eta alone: another
@@ -44,7 +48,7 @@ STEFAN_TOL = 1e-10
 BOUNDARY_TOL = 1e-10
 FAR_FIELD_TOL = 1e-8
 
-DEFAULT_X_FACTOR = 30.0
+FAR_FIELD_PROBE = 30.0  # far_field's x, in multiples of the outer front
 
 # the heat check's samples of each phase's eta, taken at each time
 HEAT_SAMPLES = 50
@@ -168,19 +172,14 @@ def boundary_residual(sol: ThreePhaseSolution) -> float:
     return abs(math.fsum(terms)) / max(map(abs, terms))
 
 
-def far_field_residual(
-    sol: ThreePhaseSolution, x_factor: float = DEFAULT_X_FACTOR
-) -> float:
-    """Deviation from the initial temperature at x_factor times the outer front.
+def far_field_residual(sol: ThreePhaseSolution) -> float:
+    """Deviation from the initial temperature at FAR_FIELD_PROBE times x1.
 
-    Probed at t = 1, relative to the solid-phase amplitude C - D.  x_factor
-    must be finite and at least 10 to land meaningfully beyond the front.
+    Probed at t = 1, relative to the solid-phase amplitude C - D.
     """
-    if not 10.0 <= x_factor < math.inf:
-        raise ValueError("x_factor must be finite and >= 10")
     t_ = sol.ctx.temps
     _, x1 = free_boundaries(sol, 1.0)
-    return abs(_phase_excess(sol, 1, 1.0, (x_factor * x1,))[0]) / (t_.C - t_.D)
+    return abs(_phase_excess(sol, 1, 1.0, (FAR_FIELD_PROBE * x1,))[0]) / (t_.C - t_.D)
 
 
 # the pinned tolerance of each check, in report order
@@ -231,14 +230,12 @@ class ResidualReport:
         }
 
 
-def full_report(
-    sol: ThreePhaseSolution, x_factor: float = DEFAULT_X_FACTOR
-) -> ResidualReport:
+def full_report(sol: ThreePhaseSolution) -> ResidualReport:
     """Run every check and collect the residuals."""
     return ResidualReport(
         heat=heat_residual(sol),
         interface=interface_residual(sol),
         stefan=stefan_residual(sol),
         boundary=boundary_residual(sol),
-        far_field=far_field_residual(sol, x_factor=x_factor),
+        far_field=far_field_residual(sol),
     )

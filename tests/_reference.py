@@ -1,14 +1,14 @@
 """Point-by-point reference implementations of the fused code.
 
 The scalar functions of the outer-coefficient equation, one z at a time:
-``h_func``, whose zero is z0, the left side ``q_func``, the surface law
-of every kind as (theta, n) read off its datum (``law``) and the
-outer equation it gives (``law_residual``).  The package evaluates them
-fused, in ``transcendental._h_kernel`` and ``transcendental.outer_residual``,
-with their slopes, and the tests assert that the fused kernels' values
-equal them bit for bit and that their slopes match the 60-digit
-derivatives of the same formulas in mpmath, ``h_tail_mp`` (1 - h) and
-``law_residual_mp``.
+the solid-side kernel ``phi``, ``h_func``, whose zero is z0, the left side
+``q_func``, the surface law of every kind as (theta, n) read off its datum
+(``law``) and the outer equation it gives (``law_residual``).  The package
+evaluates them fused, in ``transcendental._h_kernel`` and
+``transcendental.outer_residual``, with their slopes, and the tests assert
+that the fused kernels' values equal them bit for bit and that their
+slopes match the 60-digit derivatives of the same formulas in mpmath,
+``h_tail_mp`` (1 - h) and ``law_residual_mp``.
 ``h2_star_gap`` is the paper's saturating ratio whose zero is h2*, which
 ``equivalence.h2_star`` reads in closed form.
 
@@ -33,18 +33,32 @@ from stefan3 import specfun, verify
 from stefan3.errors import MissingBoundaryDatum
 from stefan3.model import Dirichlet, Neumann, Robin
 from stefan3.solver import _FRONT_BAND, free_boundaries
-from stefan3.transcendental import (
-    _EXP_CAP,
-    _SQRT_PI,
-    _h_subtracted,
-    coef2_from_coef1,
-    phi,
-)
+from stefan3.transcendental import _EXP_CAP, _SQRT_PI, coef2_from_coef1
 
 
 def _exp_capped(x):
     # exp() saturated as the fused kernels saturate it
     return math.exp(min(x, _EXP_CAP))
+
+
+def phi(z, ctx):
+    """phi(z) = z + (Ste1/sqrt(pi)) * exp(-z^2)/erfc(z), for z >= 0.
+
+    Strictly increasing from phi(0) = Ste1/sqrt(pi); the quotient is
+    evaluated in ratio form so large z does not underflow.
+    """
+    if z < 0.0:
+        raise ValueError("phi is defined for z >= 0")
+    return z + ctx.ste1 / _SQRT_PI * specfun._inv_erfcx(z)
+
+
+def _h_subtracted(z, ctx):
+    # the strictly positive term subtracted from erf(z*sigma2) in h
+    return (
+        ctx._h_offset_coef
+        * math.exp(-z * z * ctx.alpha1 / ctx.alpha2)
+        / phi(z, ctx)
+    )
 
 
 def h_func(z, ctx):

@@ -22,6 +22,19 @@ PROPS = MaterialProperties(
 )
 TEMPS = PhaseTemps(B=328.0, C=324.0, D=320.0)
 
+# Overrides of PROPS, each admissible field by field, under which one
+# constant a ProblemContext derives underflows to 0 or overflows: in order,
+# rho*c3, alpha2 (so sigma2), k1*c2 in h's offset, alpha1, the offset
+# itself (so z0 = 0) and Ste1.
+MATERIAL_RANGE_OVERRIDES = (
+    dict(k2=1e8, c3=1e-200, rho=1e-300),
+    dict(c2=1.7e308, c3=1e300, rho=1e30),
+    dict(k1=1e-300, c2=1e-300),
+    dict(k1=1e300, c1=1.7e308),
+    dict(c2=1e-30, l1=1.7e308),
+    dict(k1=1e-200, c1=1e-300, rho=1e300, l1=1e200),
+)
+
 ROBIN = Robin(h0=100.0, A_inf=334.0)
 DIRICHLET = Dirichlet(A=331.0)
 NEUMANN = Neumann(q0=300.0)

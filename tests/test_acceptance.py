@@ -269,7 +269,7 @@ def test_criterion_9_negative_controls(
     def boom(ctx, target_kind, a_inf=None):
         raise HypothesisError("mapped_h0_above_h2", 2.0, 5.0)
 
-    monkeypatch.setattr("stefan3.cli.mapping", boom)
+    monkeypatch.setattr("stefan3.equivalence.mapping", boom)
     code = cli_main(
         ["equiv", "--config", write_config(benchmark_config("neumann"),
                                            name="w4.json"),

@@ -11,7 +11,7 @@ import pytest
 
 from stefan3.cli import main
 from stefan3.errors import HypothesisError, RootFailure
-from conftest import benchmark_config
+from conftest import MATERIAL_RANGE_OVERRIDES, benchmark_config
 import _expected as E
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -374,6 +374,14 @@ def test_an_integer_past_the_float_range_is_not_finite(
     assert err == "invalid input: NOT_FINITE: all inputs must be finite numbers\n"
 
 
+@pytest.mark.parametrize("override", MATERIAL_RANGE_OVERRIDES, ids=repr)
+def test_material_out_of_float_range_exits_one(capsys, write_config, override):
+    cfg = {**benchmark_config("robin"), **override}
+    code, out, err = run_cli(capsys, ["thresholds", "--config", write_config(cfg)])
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid input: MATERIAL_RANGE: ")
+
+
 def test_schema_problems_exit_one(capsys, write_config, tmp_path):
     cfg = benchmark_config("robin")
     del cfg["k2"]
@@ -483,7 +491,7 @@ def test_hypothesis_failure_exits_four(capsys, monkeypatch, robin_config):
     def boom(ctx, target_kind, a_inf=None):
         raise HypothesisError("mapped_q0_above_q2", 1.0, 3.0)
 
-    monkeypatch.setattr("stefan3.cli.mapping", boom)
+    monkeypatch.setattr("stefan3.equivalence.mapping", boom)
     code, _, err = run_cli(
         capsys, ["equiv", "--config", robin_config, "--to", "neumann"]
     )

@@ -12,6 +12,7 @@ from stefan3 import (
     MaterialProperties,
     Neumann,
     PhaseTemps,
+    ProblemContext,
     Robin,
     ValidationError,
     config_from_dict,
@@ -21,7 +22,7 @@ from stefan3 import (
     stefan_numbers,
     validate,
 )
-from conftest import PROPS, TEMPS, ROBIN, benchmark_config
+from conftest import MATERIAL_RANGE_OVERRIDES, PROPS, TEMPS, ROBIN, benchmark_config
 from _expected import ALPHA, STE1, STE2
 
 
@@ -63,6 +64,17 @@ def test_diffusivity_order_rejected():
     # alpha2 < alpha3 is structurally unsolvable
     bad = PROPS._replace(k2=0.1, k3=0.4)
     assert "DIFFUSIVITY_ORDER" in codes(validate(bad, TEMPS))
+
+
+@pytest.mark.parametrize("override", MATERIAL_RANGE_OVERRIDES, ids=repr)
+def test_derived_constant_out_of_float_range_rejected(override):
+    # each field is admissible, but a constant derived from them is 0 or
+    # infinite in floating point: one violation, not a ZeroDivisionError
+    bad = PROPS._replace(**override)
+    assert [v.code for v in validate(bad, TEMPS, ROBIN)] == ["MATERIAL_RANGE"]
+    with pytest.raises(ValidationError) as exc:
+        ProblemContext(bad, TEMPS, ROBIN)
+    assert [v.code for v in exc.value.violations] == ["MATERIAL_RANGE"]
 
 
 def test_equal_diffusivities_warn_but_pass():

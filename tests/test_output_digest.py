@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
-    "sweep": "a867c5681793fc33dc6209d64cc30994cb14bfd792fe7c3b1979baa80c1ff29f",
+    "sweep": "53e3a1282dfc4f366290784a62de31ce9c2efb86c3e93a89dac160f8832f1ab9",
     "field": "04ae0e1262fa5528bab6e2b25523f335463169503d8533f0b20795ad57d4024f",
     "verify": "8ad4ab8a89687d3d11ce78396a27453760a0640d3cc282cd78a3260d3be6b776",
 }

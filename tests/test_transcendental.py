@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stefan3 import (
+    Dirichlet,
     MissingBoundaryDatum,
     ProblemContext,
     RootFailure,
     find_root_monotone,
+    solve,
+    solver,
     specfun,
 )
-from stefan3.transcendental import coef2_from_coef1, phi
+from stefan3.transcendental import coef2_from_coef1, outer_residual
 from conftest import PROPS, TEMPS
 from _random_sets import make_sets
-from _reference import h_func, p_func, q_func, t_func, u_func, v_func
+from _reference import h_func, p_func, phi, q_func, t_func, u_func, v_func
 import _expected as E
 
 
@@ -77,6 +80,8 @@ def test_phi_increasing_and_smooth_at_series_switch(ctx_robin):
 def test_domain_guards(ctx_robin, ctx_dirichlet, ctx_neumann):
     with pytest.raises(ValueError):
         phi(-0.1, ctx_robin)
+    with pytest.raises(ValueError):
+        coef2_from_coef1(-0.1, ctx_robin)
     with pytest.raises(ValueError):
         h_func(-1.0, ctx_robin)
     with pytest.raises(ValueError):
@@ -165,6 +170,30 @@ def test_find_root_no_sign_change():
         with pytest.raises(RootFailure) as exc:
             find_root_monotone(g, 0.0)
         assert exc.value.reason == "no_sign_change"
+
+
+def test_flat_residual_before_the_sign_change_ends(monkeypatch):
+    # the outer residual is flat at -2.4e101 in float on this material, so
+    # each Newton step from the lower end is a few ulps; the search must
+    # fall back to doubling and fail, not creep forward by those steps
+    calls = []
+
+    def capped(ctx):
+        f = outer_residual(ctx)
+
+        def g(z):
+            calls.append(z)
+            if len(calls) > 10_000:
+                raise AssertionError("the search does not end")
+            return f(z)
+
+        return g
+
+    monkeypatch.setattr(solver, "outer_residual", capped)
+    props = PROPS._replace(k1=0.5, c1=1e200, c3=1e8)
+    with pytest.raises(RootFailure) as exc:
+        solve(ProblemContext(props, TEMPS, Dirichlet(A=329.0)))
+    assert exc.value.reason == "no_sign_change"
 
 
 def test_find_root_non_finite():
