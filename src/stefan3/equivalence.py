@@ -25,7 +25,6 @@ the corollary bound on erf(coef2*sigma3) is (T(0) - B)/s2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -281,7 +280,7 @@ class AutoSatisfaction(NamedTuple):
 def _critical(ctx: ProblemContext) -> tuple[float, float]:
     # (q2, s2): the critical flux and the phase-3 amplitude it carries
     q2 = thresholds(ctx).q2
-    return q2, q2 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
+    return q2, Neumann(q2).law(ctx)[1]
 
 
 def _h2_star(a_inf: float, b: float, q2: float, s2: float) -> Optional[float]:

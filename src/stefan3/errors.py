@@ -32,8 +32,11 @@ class RootFailure(Exception):
     """Bracketed root search could not produce a root.
 
     ``reason`` is ``"no_sign_change"`` when doubling the upper bracket never
-    produced opposite signs, or ``"non_finite"`` when the residual returned
-    NaN or infinity inside the bracket.
+    produced opposite signs, ``"non_finite"`` when the residual returned
+    NaN or infinity inside the bracket, or ``"unresolved"`` when the root
+    leaves a front pair that floating point cannot resolve: coef2*sigma3
+    not above 0 after a solve, or a phase-2 span erf(coef1*sigma2) -
+    erf(coef2*sigma2) not above 0 when the field is first evaluated.
     """
 
     def __init__(self, reason: str, message: str):

@@ -89,7 +89,14 @@ class PhaseTemps(NamedTuple):
     D: float
 
 
-# the boundary data stay frozen dataclasses: callers read them with asdict
+# The boundary data stay frozen dataclasses: callers read them with asdict.
+# Their members that are not fields hold all that sets a kind apart: law(ctx)
+# is its (theta, n) in the surface law theta*s + (1 - theta)*(T(0) - B) = n
+# on a context's material, with s the phase-3 amplitude (T(0) - B =
+# s*erf(coef2*sigma3)); bounds names the datum and the Thresholds fields
+# bounding its regimes (None: every admissible datum melts both ways); and
+# checks, in report order, are (code, message, fails(datum, temps)) on
+# finite values.
 @dataclass(frozen=True)
 class Robin:
     """Convective surface exchange with a bulk at A_inf, coefficient h0/sqrt(t)."""
@@ -98,6 +105,16 @@ class Robin:
     A_inf: float
 
     kind = "robin"
+    bounds = ("h0", "h1", "h2")
+    checks = (
+        ("ROBIN_H0_NOT_POSITIVE", "h0 must be > 0", lambda d, t: d.h0 <= 0.0),
+        ("ROBIN_BULK_NOT_ABOVE_B", "A_inf must exceed B", lambda d, t: d.A_inf <= t.B),
+    )
+
+    def law(self, ctx) -> tuple[float, float]:
+        # h0*(A_inf - T(0)) = k3*s/sqrt(pi alpha3), that is A_inf - T(0) = k*s
+        k = ctx.props.k3 / (self.h0 * math.sqrt(math.pi * ctx.alpha3))
+        return k / (1.0 + k), (self.A_inf - ctx.temps.B) / (1.0 + k)
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,13 @@ class Dirichlet:
     A: float
 
     kind = "dirichlet"
+    bounds = None
+    checks = (
+        ("DIRICHLET_A_NOT_ABOVE_B", "A must exceed B", lambda d, t: d.A <= t.B),
+    )
+
+    def law(self, ctx) -> tuple[float, float]:
+        return 0.0, self.A - ctx.temps.B
 
 
 @dataclass(frozen=True)
@@ -116,6 +140,13 @@ class Neumann:
     q0: float
 
     kind = "neumann"
+    bounds = ("q0", "q1", "q2")
+    checks = (
+        ("NEUMANN_Q0_NOT_POSITIVE", "q0 must be > 0", lambda d, t: d.q0 <= 0.0),
+    )
+
+    def law(self, ctx) -> tuple[float, float]:
+        return 1.0, self.q0 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
 
 
 BoundarySpec = Union[Robin, Dirichlet, Neumann]
@@ -200,33 +231,14 @@ _NOT_FINITE = Violation("NOT_FINITE", "all inputs must be finite numbers")
 _MATERIAL_RANGE = Violation(
     "MATERIAL_RANGE", "the material's derived constants must be finite and > 0")
 
-# boundary class -> its datum's checks against the temperatures, in report
-# order: (code, message, fails(datum, temps)) on finite values
-_DATUM_CHECKS = {
-    Robin: (
-        ("ROBIN_H0_NOT_POSITIVE", "h0 must be > 0", lambda d, t: d.h0 <= 0.0),
-        ("ROBIN_BULK_NOT_ABOVE_B", "A_inf must exceed B", lambda d, t: d.A_inf <= t.B),
-    ),
-    Dirichlet: (
-        ("DIRICHLET_A_NOT_ABOVE_B", "A must exceed B", lambda d, t: d.A <= t.B),
-    ),
-    Neumann: (
-        ("NEUMANN_Q0_NOT_POSITIVE", "q0 must be > 0", lambda d, t: d.q0 <= 0.0),
-    ),
-}
-
-
 def datum_violations(temps: PhaseTemps, bc: Optional[BoundarySpec]) -> list[Violation]:
     """The violations validate reports that the boundary datum alone decides."""
     if bc is None:
         return []
     if not all(math.isfinite(getattr(bc, f)) for f in _FIELD_NAMES[type(bc)]):
         return [_NOT_FINITE]
-    return [
-        Violation(code, message)
-        for code, message, fails in _DATUM_CHECKS[type(bc)]
-        if fails(bc, temps)
-    ]
+    return [Violation(code, message)
+            for code, message, fails in bc.checks if fails(bc, temps)]
 
 
 def validate(

@@ -5,7 +5,7 @@ A solved problem is its context and the pair of front coefficients
 temperature in each phase is an affine image of one error-function profile
 in the similarity variable x/(2*sqrt(alpha_i*t)).  Everything else is
 derived from those on first use.  The boundary kind enters only through
-its record, transcendental.surface_law(bc), and through solve, which
+the datum's members bc.law(ctx) and bc.bounds, and through solve, which
 calls solve_<kind> by its name in this module; one guard, _of_kind,
 checks the datum's kind for those and for the named mappings.  Every
 field evaluation runs through one grid generator, _grid: it checks and
@@ -25,7 +25,7 @@ from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from . import specfun
-from .errors import MissingBoundaryDatum, RegimeError, ValidationError
+from .errors import MissingBoundaryDatum, RegimeError, RootFailure, ValidationError
 from .model import Violation, _Frozen, config_to_dict, require_bulk
 from .specfun import _inv_erfcx
 from .transcendental import (
@@ -34,7 +34,6 @@ from .transcendental import (
     coef2_from_coef1,
     find_root_monotone,
     outer_residual,
-    surface_law,
 )
 
 # Points within this relative distance of a front belong to the phase on
@@ -111,7 +110,9 @@ def classify_regime(ctx: ProblemContext) -> Regime:
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
     """
-    bounds = surface_law(ctx.bc).bounds
+    if ctx.bc is None:
+        raise MissingBoundaryDatum("the operation needs a boundary datum")
+    bounds = ctx.bc.bounds
     if bounds is None:
         # an imposed surface temperature above B always melts both ways
         return Regime.THREE_PHASE
@@ -157,7 +158,7 @@ class ThreePhaseSolution(_Frozen):
         # law theta*s + (1 - theta)*(T(0) - B) = n with T(0) - B = s*e
         # gives s = n/w, w = theta + (1 - theta)*e, e = erf(coef2*sigma3)
         c = self.ctx
-        theta, n = surface_law(c.bc).read(c)
+        theta, n = c.bc.law(c)
         e = specfun.erf(self.coef2 * c.sigma3)
         w = theta + (1.0 - theta) * e
         s = n / w
@@ -175,17 +176,24 @@ class ThreePhaseSolution(_Frozen):
     @_cached
     def _excess_constants(self) -> tuple[float, ...]:
         # every per-solution constant of the three excess formulas, in the
-        # order _kernels unpacks them; the span reuses erf(coef1*sigma2)
+        # order _kernels unpacks them; the span reuses erf(coef1*sigma2),
+        # and phase 2's profile divides by it
         c = self.ctx
         t_ = c.temps
         at_front1 = specfun.erf(self.coef1 * c.sigma2)
+        span2 = at_front1 - specfun.erf(self.coef2 * c.sigma2)
+        if not span2 > 0.0:
+            raise RootFailure(
+                "unresolved", f"phase 2's span erf(coef1*sigma2) - "
+                f"erf(coef2*sigma2) is {span2!r} at coef1 {self.coef1!r} and "
+                f"coef2 {self.coef2!r}")
         return (
             self.surface_temp - t_.D,
             self._surface[0],
             t_.C - t_.D,
             t_.B - t_.C,
             at_front1,
-            at_front1 - specfun.erf(self.coef2 * c.sigma2),
+            span2,
             specfun.erfc(self.coef1),
         )
 
@@ -263,7 +271,13 @@ def _solve_outer(ctx: ProblemContext) -> ThreePhaseSolution:
             "no second front forms",
         )
     coef1 = find_root_monotone(outer_residual(ctx), _outer_bracket(ctx))
-    return _solved(ctx, coef1, coef2_from_coef1(coef1, ctx))
+    coef2 = coef2_from_coef1(coef1, ctx)
+    # keeps erf(coef2*sigma3), the divisor of an imposed temperature's law, > 0
+    if not coef2 * ctx.sigma3 > 0.0:
+        raise RootFailure(
+            "unresolved", f"the outer root {coef1!r} leaves the inner "
+            f"coefficient {coef2!r}, and phase 3 no width in floating point")
+    return _solved(ctx, coef1, coef2)
 
 
 def _of_kind(ctx: ProblemContext, kind: str) -> ProblemContext:
@@ -304,6 +318,10 @@ def solve(ctx: ProblemContext) -> ThreePhaseSolution:
     called.  A context is solved once: while a caller holds its solution,
     later calls return that same object, recorded on the context, with its
     derived values and no search.
+
+    Raises:
+        RootFailure: "unresolved" when the outer root leaves coef2*sigma3
+            not above 0 in floating point, besides the search's reasons.
     """
     sol = ctx.solution
     if sol is not None:
@@ -458,13 +476,16 @@ def perturbed(
     out = ThreePhaseSolution(
         sol.ctx, sol.coef1 * (1.0 + eps1), sol.coef2 * (1.0 + eps2)
     )
-    # a negative coef1 or an infinite coef2 leaves no positive span
-    if not (0.0 < out.coef2 and out.coef1 < math.inf
-            and out._excess_constants[5] > 0.0):
-        raise ValidationError([Violation(
-            "BAD_PERTURB",
-            f"perturbing by {eps1!r} and {eps2!r} gives the front coefficients "
-            f"{out.coef1!r} and {out.coef2!r}, which are not finite and "
-            "positive or leave phase 2 no span",
-        )])
-    return out
+    # a negative coef1 or an infinite coef2 leaves no positive span, which
+    # _excess_constants tests
+    try:
+        if 0.0 < out.coef2 and out.coef1 < math.inf and out._excess_constants:
+            return out
+    except RootFailure:
+        pass
+    raise ValidationError([Violation(
+        "BAD_PERTURB",
+        f"perturbing by {eps1!r} and {eps2!r} gives the front coefficients "
+        f"{out.coef1!r} and {out.coef2!r}, which are not finite and "
+        "positive or leave phase 2 no span",
+    )])

@@ -9,12 +9,12 @@ the front coefficients:
   outer front coefficient from below.  Above z0, ``coef2_from_coef1``
   solves erf(coef2*sigma2) = h(z) for the inner coefficient matched to an
   outer one.  ``_h_kernel`` evaluates h and its slope for the z0 search.
-* ``SurfaceLaw``: one record per boundary kind, looked up by the datum's
-  class through ``surface_law``.  The kinds differ only in the surface
-  law theta*s + (1 - theta)*(T(0) - B) = n on the phase-3 amplitude s, and
-  the record reads (theta, n) off the datum: theta = 0 for an imposed
-  temperature, 1 for an imposed flux and k/(1 + k) for convective
-  exchange, whose law lies between the other two: the paper's equivalence.
+* ``bc.law(ctx)``: the kinds differ only in the surface law theta*s +
+  (1 - theta)*(T(0) - B) = n on the phase-3 amplitude s, and each datum
+  class reads its own (theta, n): theta = 0 for an imposed temperature,
+  1 for an imposed flux and k/(1 + k) for convective exchange, whose law
+  lies between the other two: the paper's equivalence.  ``bc.bounds``
+  names the datum with the Thresholds fields that bound its regimes.
 * ``outer_residual``: the single remaining equation for the outer
   coefficient, one form for every kind, built once per solve: q(z) =
   (l1/l2) phi(z) exp(z^2 alpha1/alpha2) against the law at the matched
@@ -34,17 +34,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Callable, ClassVar, NamedTuple, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import specfun
 from .errors import MissingBoundaryDatum, RootFailure, ValidationError
 from .model import (
     BoundarySpec,
-    Dirichlet,
     MaterialProperties,
-    Neumann,
     PhaseTemps,
-    Robin,
     _SQRT_PI,
     _Frozen,
     datum_violations,
@@ -183,53 +180,6 @@ def _h_kernel(ctx: ProblemContext) -> Callable[[float], tuple[float, float]]:
     return h
 
 
-class SurfaceLaw(NamedTuple):
-    """The surface condition of one boundary kind, as one linear law.
-
-    Every kind imposes theta*s + (1 - theta)*(T(0) - B) = n on the surface
-    temperature T(0) and the phase-3 amplitude s (the temperature falls by
-    s*erf(eta3) from T(0), so T(0) - B = s*erf(coef2*sigma3)).  ``read(ctx)``
-    gives (theta, n) for the context's datum: theta = 0 and n = A - B for an
-    imposed temperature, theta = 1 and n = q0*sqrt(pi*alpha3)/k3 for an
-    imposed flux, and in between, theta = k/(1 + k) and n = (A_inf - B)/(1 +
-    k) with k = k3/(h0*sqrt(pi*alpha3)), for convective exchange.  The
-    outer equation, the surface values and the verifier's check are derived
-    from it for every kind alike.  ``bounds`` names the datum and the
-    Thresholds fields bounding its regimes, or is None where every
-    admissible datum melts both ways.
-    """
-
-    read: Callable[[ProblemContext], tuple[float, float]]
-    bounds: Optional[tuple[str, str, str]]
-
-
-def _robin_law(ctx: ProblemContext) -> tuple[float, float]:
-    # h0*(A_inf - T(0)) = k3*s/sqrt(pi alpha3), that is A_inf - T(0) = k*s
-    k = ctx.props.k3 / (ctx.bc.h0 * math.sqrt(math.pi * ctx.alpha3))
-    return k / (1.0 + k), (ctx.bc.A_inf - ctx.temps.B) / (1.0 + k)
-
-
-# boundary class -> its surface law, built once at import
-_LAWS = {
-    Robin: SurfaceLaw(_robin_law, ("h0", "h1", "h2")),
-    Dirichlet: SurfaceLaw(lambda ctx: (0.0, ctx.bc.A - ctx.temps.B), None),
-    Neumann: SurfaceLaw(
-        lambda ctx: (
-            1.0, ctx.bc.q0 * math.sqrt(math.pi * ctx.alpha3) / ctx.props.k3
-        ),
-        ("q0", "q1", "q2"),
-    ),
-}
-
-
-def surface_law(bc: Optional[BoundarySpec]) -> SurfaceLaw:
-    """The surface law of the datum's kind; MissingBoundaryDatum for None."""
-    law = _LAWS.get(type(bc))
-    if law is None:
-        raise MissingBoundaryDatum("the operation needs a boundary datum")
-    return law
-
-
 def outer_residual(ctx: ProblemContext) -> Callable[[float], tuple[float, float]]:
     """The outer-coefficient equation, the same for every boundary kind.
 
@@ -239,8 +189,8 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], tuple[float, float]
         w*(q(z) + m*exp(m^2 alpha1/alpha2)) - d*n*exp(-m^2 (alpha1/alpha3
         - alpha1/alpha2))
 
-    at m = max(coef2_from_coef1(z), 0), with (theta, n) the datum's
-    surface law, w = theta + (1 - theta)*erf(m*sigma3) in (0, 1] and d =
+    at m = max(coef2_from_coef1(z), 0), with (theta, n) = ctx.bc.law(ctx),
+    w = theta + (1 - theta)*erf(m*sigma3) in (0, 1] and d =
     sqrt(k3 c1 c3/k1)/(l2 sqrt(pi)).  It is the phase-2/3 energy balance
     with s = n/w, times w, so it stays finite at m = 0.  The law is read
     and every per-problem constant computed when the function is built,
@@ -252,7 +202,9 @@ def outer_residual(ctx: ProblemContext) -> Callable[[float], tuple[float, float]
     Raises:
         MissingBoundaryDatum: The context has no boundary datum.
     """
-    theta, n = surface_law(ctx.bc).read(ctx)
+    if ctx.bc is None:
+        raise MissingBoundaryDatum("the operation needs a boundary datum")
+    theta, n = ctx.bc.law(ctx)
     erf, erfc, erfc_inv = specfun.erf, specfun.erfc, specfun.erfc_inv
     inv_erfcx, exp = specfun._inv_erfcx, math.exp
     p = ctx.props

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from . import specfun
 from .solver import ThreePhaseSolution, _phase_excess, free_boundaries
-from .transcendental import surface_law
 
 # over 1,050 solves of a wide family, true solutions read at most 1.6e4 eps
 # (3.5e-12), in a thin phase 2; a straight-line phase 2 read at least 1.1e7
@@ -160,13 +159,13 @@ def boundary_residual(sol: ThreePhaseSolution) -> float:
     """Relative residual of the surface condition the solution claims.
 
     Every kind's condition is the law theta*s + (1 - theta)*(T(0) - B) = n
-    of transcendental.SurfaceLaw, here on the solution's surface temperature
+    of its datum, bc.law(ctx), here on the solution's surface temperature
     and the phase-3 amplitude s its flux coefficient implies.  The residual
     is the law's exact sum divided by its largest term.  Both sides of the
     condition decay alike in time, so the residual holds at every time.
     """
     c = sol.ctx
-    theta, n = surface_law(c.bc).read(c)
+    theta, n = c.bc.law(c)
     s = sol.flux_coef * math.sqrt(math.pi * c.alpha3) / c.props.k3
     terms = (theta * s, (1.0 - theta) * (sol.surface_temp - c.temps.B), -n)
     return abs(math.fsum(terms)) / max(map(abs, terms))

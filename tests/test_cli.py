@@ -412,6 +412,24 @@ def test_a_config_that_is_not_utf8_is_bad_json(tmp_path):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_an_unresolved_inner_coefficient_exits_three(tmp_path):
+    # the solve returned coef2 = 0.0 here, and printing its surface
+    # temperature raised ZeroDivisionError
+    cfg = tmp_path / "c.json"
+    config = benchmark_config("dirichlet")
+    config.update(c2=1e-30, c3=3.0, boundary={"type": "dirichlet", "A": 328.5})
+    cfg.write_text(json.dumps(config))
+    env = {k: v for k, v in os.environ.items() if k != "STEFAN3_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stefan3", "solve", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("root search failed (unresolved): ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_io_errors_exit_five(capsys, tmp_path, robin_config):
     code, _, err = run_cli(
         capsys, ["solve", "--config", str(tmp_path / "absent.json")]

@@ -29,7 +29,6 @@ from stefan3 import (
     thresholds,
 )
 from stefan3.equivalence import HypothesisCheck, _checked, _critical
-from stefan3.transcendental import surface_law
 from conftest import PROPS, TEMPS, cold_gaps
 from _random_sets import make_sets, wide_sets
 from _reference import h2_star_gap
@@ -378,7 +377,7 @@ def test_the_critical_amplitude_is_the_flux_law_at_q2():
         q2, s2 = _critical(ctx)
         assert q2 == thresholds(ctx).q2
         flux = ctx.with_bc(Neumann(q2))
-        assert s2 == surface_law(flux.bc).read(flux)[1]
+        assert s2 == flux.bc.law(flux)[1]
         assert bulk_floor(ctx) == ctx.temps.B + s2
 
 

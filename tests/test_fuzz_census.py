@@ -26,3 +26,13 @@ def test_construction_and_solve_end_in_a_solution_or_a_documented_error():
     assert sum(counts.values()) == 200
     assert not fuzz.undocumented(counts)
     assert counts[("done", "ok", "")] > 0  # some draws do solve
+
+
+def test_every_stage_ends_in_a_report_or_a_documented_error():
+    # the report stage too: no field kernel or heat fit divides by zero
+    fuzz = _fuzz_cli()
+    counts = fuzz.census(seed=5, draws=200, stages=fuzz.STAGES)
+    assert fuzz.STAGES == ("construct", "thresholds", "solve", "report")
+    assert sum(counts.values()) == 200
+    assert not fuzz.undocumented(counts)
+    assert counts[("done", "ok", "")] > 0

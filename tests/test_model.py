@@ -105,6 +105,21 @@ def test_boundary_data_rejected():
     )
 
 
+def test_the_datum_members_are_not_fields():
+    # law, bounds and checks are class members: asdict and replace read
+    # only the data
+    import dataclasses
+
+    names = {cls: tuple(f.name for f in dataclasses.fields(cls))
+             for cls in (Robin, Dirichlet, Neumann)}
+    assert names == {Robin: ("h0", "A_inf"), Dirichlet: ("A",), Neumann: ("q0",)}
+    assert dataclasses.asdict(ROBIN) == {"h0": 100.0, "A_inf": 334.0}
+    for cls in names:
+        assert callable(cls.law) and cls.checks
+    assert (Robin.bounds, Dirichlet.bounds, Neumann.bounds) == (
+        ("h0", "h1", "h2"), None, ("q0", "q1", "q2"))
+
+
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_stefan_numbers_scale_with_latent_heat(factor):
     # halving l scales Ste accordingly: Ste * l is an invariant of temps

@@ -17,10 +17,12 @@ from stefan3 import (
     Regime,
     RegimeError,
     Robin,
+    RootFailure,
     ValidationError,
     classify_regime,
     evaluate_temperature,
     free_boundaries,
+    full_report,
     perturbed,
     solve,
     solve_dirichlet,
@@ -634,3 +636,40 @@ def test_empty_row(sol_robin):
     from stefan3.solver import temperature_row
 
     assert temperature_row(sol_robin, 1.0, []) == []
+
+
+@pytest.mark.parametrize(
+    "override, bc",
+    [
+        # the outer search ended at z0, where h < 0: coef2 was -2.48e23
+        (dict(k1=1e-30, k2=1e30), Dirichlet(A=329.0)),
+        # coef2 was 0.0, and the surface law divided by erf(0)
+        (dict(c2=1e-30, c3=3.0), Dirichlet(A=328.5)),
+    ],
+)
+def test_solve_never_returns_an_inner_coefficient_at_or_below_zero(override, bc):
+    ctx = ProblemContext(PROPS._replace(**override), TEMPS, bc)
+    with pytest.raises(RootFailure) as exc:
+        solve(ctx)
+    assert exc.value.reason == "unresolved"
+
+
+def test_a_phase_2_span_that_rounds_to_zero_is_unresolved():
+    from stefan3.solver import temperature_row
+    from stefan3.verify import heat_residual
+
+    sol = solve(ProblemContext(PROPS, TEMPS, Robin(h0=1.0, A_inf=1e20)))
+    # a solution, with fronts erf cannot tell apart in phase 2's variable
+    assert 0.0 < sol.coef2 < sol.coef1
+    assert specfun.erf(sol.coef1 * sol.ctx.sigma2) == specfun.erf(
+        sol.coef2 * sol.ctx.sigma2)
+    x2, x1 = free_boundaries(sol, 1.0)
+    for field in (
+        lambda: temperature_row(sol, 1.0, [0.0, x2, x1, 2.0 * x1]),
+        lambda: evaluate_temperature(sol, 2.0 * x1, 1.0),
+        lambda: heat_residual(sol),
+        lambda: full_report(sol),
+    ):
+        with pytest.raises(RootFailure) as exc:
+            field()
+        assert exc.value.reason == "unresolved"

@@ -381,10 +381,10 @@ def _sign(value):
 def test_fused_outer_residual_equals_the_point_functions_bit_for_bit():
     import _reference as R
     from stefan3.solver import _outer_bracket
-    from stefan3.transcendental import outer_residual, surface_law
+    from stefan3.transcendental import outer_residual
 
     for ctx in _kernel_contexts():
-        assert surface_law(ctx.bc).read(ctx) == R.law(ctx), ctx.bc
+        assert ctx.bc.law(ctx) == R.law(ctx), ctx.bc
         fused, law, paper = (
             outer_residual(ctx), R.law_residual(ctx), R.outer_residual(ctx))
         zs = _z_grid(ctx)
