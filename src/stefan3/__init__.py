@@ -16,48 +16,10 @@ residual checks.  The mapping (``equivalence``) and verification
 
 from importlib import import_module
 
-from .errors import (
-    DiffusivityWarning,
-    HypothesisError,
-    MissingBoundaryDatum,
-    RegimeError,
-    RootFailure,
-    ValidationError,
-)
-from .model import (
-    BoundarySpec,
-    Dirichlet,
-    MaterialProperties,
-    Neumann,
-    PhaseTemps,
-    Robin,
-    StefanNumbers,
-    Violation,
-    config_from_dict,
-    config_to_dict,
-    diffusivities,
-    load_config,
-    stefan_numbers,
-    validate,
-)
-from .transcendental import ProblemContext, find_root_monotone
-from .solver import (
-    Regime,
-    ThreePhaseSolution,
-    Thresholds,
-    classify_regime,
-    evaluate_temperature,
-    free_boundaries,
-    perturbed,
-    solve,
-    solve_dirichlet,
-    solve_neumann,
-    solve_robin,
-    surface_values,
-    temperature_excess,
-    temperature_row,
-    thresholds,
-)
+from .errors import *
+from .model import *
+from .transcendental import *
+from .solver import *
 
 # Loaded on first use: the first touch of either submodule, or of any name
 # it exports, imports it and binds all of those names here, so later reads
@@ -93,64 +55,9 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutoSatisfaction",
-    "BoundarySpec",
-    "CorollaryCheck",
-    "DiffusivityWarning",
-    "Dirichlet",
-    "EquivalenceReport",
-    "HypothesisCheck",
-    "HypothesisError",
-    "MaterialProperties",
-    "MissingBoundaryDatum",
-    "Neumann",
-    "PhaseTemps",
-    "ProblemContext",
-    "Regime",
-    "RegimeError",
-    "ResidualReport",
-    "Robin",
-    "RootFailure",
-    "StefanNumbers",
-    "ThreePhaseSolution",
-    "Thresholds",
-    "ValidationError",
-    "Violation",
-    "auto_satisfaction",
-    "boundary_residual",
-    "bulk_floor",
-    "classify_regime",
-    "config_from_dict",
-    "config_to_dict",
-    "corollary_checks",
-    "diffusivities",
-    "dirichlet_to_neumann",
-    "dirichlet_to_robin",
-    "evaluate_temperature",
-    "far_field_residual",
-    "find_root_monotone",
-    "free_boundaries",
-    "full_report",
-    "h2_star",
-    "heat_residual",
-    "interface_residual",
-    "load_config",
-    "mapping",
-    "neumann_to_dirichlet",
-    "neumann_to_robin",
-    "perturbed",
-    "robin_to_dirichlet",
-    "robin_to_neumann",
-    "solve",
-    "solve_dirichlet",
-    "solve_neumann",
-    "solve_robin",
-    "stefan_numbers",
-    "stefan_residual",
-    "surface_values",
-    "temperature_excess",
-    "temperature_row",
-    "thresholds",
-    "validate",
-]
+# Each public name is declared once, in its module's __all__ or in _LAZY.
+# The star imports above also bound each of their submodules here by name.
+__all__ = sorted([
+    *errors.__all__, *model.__all__, *transcendental.__all__, *solver.__all__,
+    *(name for names in _LAZY.values() for name in names),
+])

@@ -243,8 +243,6 @@ def main(argv: Optional[list] = None) -> int:
             if isinstance(exc, ValidationError):
                 for v in exc.violations:
                     print(f"invalid input: {v.code}: {v.message}", file=sys.stderr)
-                if not exc.violations:
-                    print("invalid input", file=sys.stderr)
             else:
                 print(f"invalid input: {exc}", file=sys.stderr)
             return 1

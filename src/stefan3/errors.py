@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["DiffusivityWarning", "HypothesisError", "MissingBoundaryDatum",
+           "RegimeError", "RootFailure", "ValidationError"]
+
 
 class ValidationError(Exception):
     """Input data violates one or more model invariants.
@@ -33,10 +36,13 @@ class RootFailure(Exception):
 
     ``reason`` is ``"no_sign_change"`` when doubling the upper bracket never
     produced opposite signs, ``"non_finite"`` when the residual returned
-    NaN or infinity inside the bracket, or ``"unresolved"`` when the root
-    leaves a front pair that floating point cannot resolve: coef2*sigma3
-    not above 0 after a solve, or a phase-2 span erf(coef1*sigma2) -
-    erf(coef2*sigma2) not above 0 when the field is first evaluated.
+    NaN or infinity inside the bracket, or ``"unresolved"`` when floating
+    point leaves 0 where the problem needs a positive quantity: a
+    convective law's h0*sqrt(pi*alpha3), the threshold q2's
+    sqrt(pi*alpha2)*erf(z0*sigma2), coef2*sigma3 after a solve, phase 2's
+    span erf(coef1*sigma2) - erf(coef2*sigma2) when the field is first
+    evaluated, or the width of the heat check's phase-1 window [coef1,
+    coef1 + 3].
     """
 
     def __init__(self, reason: str, message: str):

@@ -15,7 +15,12 @@ import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import DiffusivityWarning, ValidationError
+from .errors import DiffusivityWarning, RootFailure, ValidationError
+
+__all__ = ["BoundarySpec", "Dirichlet", "MaterialProperties", "Neumann",
+           "PhaseTemps", "Robin", "StefanNumbers", "Violation",
+           "config_from_dict", "config_to_dict", "diffusivities", "load_config",
+           "stefan_numbers", "validate"]
 
 # Phase numbering runs from the far solid inward: 1 = solid, 2 = intermediate
 # liquid between the fronts, 3 = surface liquid.
@@ -113,7 +118,10 @@ class Robin:
 
     def law(self, ctx) -> tuple[float, float]:
         # h0*(A_inf - T(0)) = k3*s/sqrt(pi alpha3), that is A_inf - T(0) = k*s
-        k = ctx.props.k3 / (self.h0 * math.sqrt(math.pi * ctx.alpha3))
+        g = self.h0 * math.sqrt(math.pi * ctx.alpha3)
+        if not g > 0.0:
+            raise RootFailure("unresolved", f"h0*sqrt(pi*alpha3) underflows to {g!r}")
+        k = ctx.props.k3 / g
         return k / (1.0 + k), (self.A_inf - ctx.temps.B) / (1.0 + k)
 
 

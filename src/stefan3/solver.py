@@ -36,6 +36,11 @@ from .transcendental import (
     outer_residual,
 )
 
+__all__ = ["Regime", "ThreePhaseSolution", "Thresholds", "classify_regime",
+           "evaluate_temperature", "free_boundaries", "perturbed", "solve",
+           "solve_dirichlet", "solve_neumann", "solve_robin", "surface_values",
+           "temperature_excess", "temperature_row", "thresholds"]
+
 # Points within this relative distance of a front belong to the phase on
 # the lower-x side, so front positions themselves evaluate cleanly.
 _FRONT_BAND = 1e-14
@@ -82,13 +87,18 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
     Raises:
         ValidationError: If an explicit a_inf is not finite or does not
             exceed B.
+        RootFailure: "unresolved" when q2's divisor sqrt(pi*alpha2)*
+            erf(z0*sigma2) is 0 in floating point (z0 rounds to 0).
     """
     p, t = ctx.props, ctx.temps
     a1, a2, _ = ctx.alphas
     z0 = ctx.z0
 
     q1 = p.k1 * (t.C - t.D) / math.sqrt(math.pi * a1)
-    q2 = p.k2 * (t.B - t.C) / (math.sqrt(a2 * math.pi) * ctx._erf_z0)
+    g = math.sqrt(a2 * math.pi) * ctx._erf_z0  # 0 where z0 rounds to 0
+    if not g > 0.0:
+        raise RootFailure("unresolved", f"q2's divisor is {g!r} at z0 = {z0!r}")
+    q2 = p.k2 * (t.B - t.C) / g
 
     if a_inf is None:
         a_inf = getattr(ctx.bc, "A_inf", None)
@@ -218,13 +228,14 @@ class ThreePhaseSolution(_Frozen):
                     for x in xs]
 
         if erfc1 == 0.0:  # erfc(coef1) underflowed: erfc(eta)/erfc(c) as
-            # exp((c - eta)(c + eta)) * _inv_erfcx(c) / _inv_erfcx(eta)
+            # exp((c - eta)(c + eta)) * _inv_erfcx(c) / _inv_erfcx(eta), the
+            # exponent clamped at 0 for an eta that rounds just below c
             c, inv_c = self.coef1, _inv_erfcx(self.coef1)
 
             def phase1(t, xs, base):
                 d = 2.0 * sqrt(a1 * t)
-                return [base + solid * (math.exp((c - e) * (c + e)) * inv_c
-                                        / _inv_erfcx(e))
+                return [base + solid * (math.exp(min((c - e) * (c + e), 0.0))
+                                        * inv_c / _inv_erfcx(e))
                         for e in (x / d for x in xs)]
         else:
             def phase1(t, xs, base):

@@ -49,6 +49,8 @@ from .model import (
     require_valid,
 )
 
+__all__ = ["ProblemContext", "find_root_monotone"]
+
 # exp() saturation guard: bracket doubling can probe arguments far past the
 # root, where the true value overflows float64.  Saturating keeps the sign
 # information the root search needs without raising OverflowError.

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import specfun
+from .errors import RootFailure
 from .solver import ThreePhaseSolution, _phase_excess, free_boundaries
 
 # over 1,050 solves of a wide family, true solutions read at most 1.6e4 eps
@@ -67,7 +68,8 @@ def heat_residual(sol: ThreePhaseSolution) -> dict[str, float]:
     deviation from that fit over the largest |value|.  Phase 1 runs from
     the outer front to three diffusion lengths past it, where its excess
     has decayed by at least e^-9, and takes f as erfc(eta)/erfc(coef1) in
-    the ratio form that stays finite where erfc underflows.
+    the ratio form that stays finite where erfc underflows.  Raises
+    RootFailure("unresolved") where coef1 + 3 rounds to coef1.
     """
     c, k1 = sol.ctx, sol.coef1
     inv1 = specfun._inv_erfcx(k1)
@@ -89,6 +91,8 @@ def heat_residual(sol: ThreePhaseSolution) -> dict[str, float]:
             d = 2.0 * math.sqrt(c.alphas[phase - 1] * t)
             rows.append(_phase_excess(sol, phase, t, [d * e for e in etas]))
         v0, f0 = rows[0][0], fs[0]
+        if fs[-1] == f0:  # phase 1's window [coef1, coef1 + 3] collapsed
+            raise RootFailure("unresolved", f"eta window [{lo!r}, {hi!r}] has no width")
         b = (rows[0][-1] - v0) / (fs[-1] - f0)
         out[f"phase{phase}"] = max(
             abs(v - v0 - b * (f - f0)) for row in rows for v, f in zip(row, fs)

@@ -35,6 +35,20 @@ MATERIAL_RANGE_OVERRIDES = (
     dict(k1=1e-200, c1=1e-300, rho=1e300, l1=1e200),
 )
 
+# Overrides of PROPS, each with a datum, under which a stage ended in a bare
+# ZeroDivisionError or OverflowError.  In the first three a divisor is 0 in
+# floating point: the convective law's h0*sqrt(pi*alpha3), the heat fit's
+# over phase 1's window [coef1, coef1 + 3] (coef1 = 6.2e48), and the
+# critical flux q2's erf(z0*sigma2) (z0 = 0).  In the last, coef1 = 2.4e14
+# and phase 1's exp((coef1 - eta)(coef1 + eta)) overflowed where eta
+# rounded just below coef1.
+FLOAT_RANGE_CASES = {
+    "robin_law": (dict(c3=1e300), Robin(h0=1e-200, A_inf=1e300)),
+    "heat_window": (dict(k1=1e-300, c1=1e-200), Dirichlet(A=331.0)),
+    "thresholds": (dict(k1=1e200, c1=1e200, c2=1e-300), Dirichlet(A=1e30)),
+    "phase1_kernel": (dict(k1=1e-30, k3=1e-30, c3=3.0, l1=3.0), Neumann(q0=1e8)),
+}
+
 ROBIN = Robin(h0=100.0, A_inf=334.0)
 DIRICHLET = Dirichlet(A=331.0)
 NEUMANN = Neumann(q0=300.0)

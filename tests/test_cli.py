@@ -11,7 +11,10 @@ import pytest
 
 from stefan3.cli import main
 from stefan3.errors import HypothesisError, RootFailure
-from conftest import MATERIAL_RANGE_OVERRIDES, benchmark_config
+from stefan3.model import config_to_dict
+from conftest import (
+    FLOAT_RANGE_CASES, MATERIAL_RANGE_OVERRIDES, PROPS, TEMPS, benchmark_config,
+)
 import _expected as E
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -164,6 +167,17 @@ def test_map_writes_field_and_fronts(capsys, tmp_path, write_config):
     # default xmax doubles the outer front reach at tmax
     biggest_x = rows[-1][0]
     assert biggest_x == pytest.approx(2.0 * fronts[-1][2], rel=1e-12)
+
+
+def test_map_names_the_fronts_file_after_an_out_path_without_csv(
+    capsys, tmp_path, robin_config
+):
+    out = tmp_path / "field"
+    code, _, err = run_cli(capsys, ["map", "--config", robin_config, "--out",
+                                    str(out), "--nx", "3", "--nt", "2"])
+    assert code == 0, err
+    assert out.read_text().startswith("x,t,temperature\n")
+    assert (tmp_path / "field.fronts.csv").read_text().startswith("t,x2,x1\n")
 
 
 @pytest.mark.parametrize(
@@ -397,6 +411,19 @@ def test_schema_problems_exit_one(capsys, write_config, tmp_path):
     assert "BAD_JSON" in err
 
 
+@pytest.mark.parametrize("config, violation", [
+    ([benchmark_config("robin")], "BAD_CONFIG"),
+    ({**benchmark_config("robin"), "boundary": ["robin", 100.0, 334.0]},
+     "BAD_FIELD_TYPE"),
+])
+def test_a_config_of_the_wrong_shape_exits_one(
+    capsys, write_config, config, violation
+):
+    code, out, err = run_cli(capsys, ["solve", "--config", write_config(config)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"invalid input: {violation}: ")
+
+
 def test_a_config_that_is_not_utf8_is_bad_json(tmp_path):
     # a UTF-16 byte order mark cannot start UTF-8 text
     cfg = tmp_path / "c.json"
@@ -428,6 +455,31 @@ def test_an_unresolved_inner_coefficient_exits_three(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("root search failed (unresolved): ")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("case, command, codes", [
+    ("robin_law", "solve", (3,)),
+    ("heat_window", "verify", (3,)),
+    ("thresholds", "thresholds", (3,)),
+    ("phase1_kernel", "verify", (0, 6)),
+])
+def test_a_float_range_case_ends_without_a_traceback(tmp_path, case, command, codes):
+    # each printed a ZeroDivisionError or OverflowError traceback
+    override, bc = FLOAT_RANGE_CASES[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config_to_dict(PROPS._replace(**override), TEMPS, bc)))
+    env = {k: v for k, v in os.environ.items() if k != "STEFAN3_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stefan3", command, "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert "root search failed (unresolved): " in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["pass"] is (proc.returncode == 0)
 
 
 def test_io_errors_exit_five(capsys, tmp_path, robin_config):

@@ -33,6 +33,24 @@ def test_every_public_name_is_its_defining_module_attribute():
     assert stefan3.full_report is stefan3.verify.full_report
 
 
+EAGER = ("errors", "model", "transcendental", "solver")
+
+
+@pytest.mark.parametrize("module", EAGER)
+def test_a_star_import_of_an_eager_module_binds_its_all(module):
+    namespace = {}
+    exec(f"from stefan3.{module} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(vars(stefan3)[module].__all__)
+
+
+def test_the_package_all_is_the_eager_modules_all_and_the_lazy_names():
+    eager = [name for m in EAGER for name in vars(stefan3)[m].__all__]
+    lazy = [name for names in stefan3._LAZY.values() for name in names]
+    assert stefan3.__all__ == sorted(eager + lazy)
+    assert len(stefan3.__all__) == 59
+
+
 def fresh(code):
     """Run ``code`` after a fresh ``import stefan3``, with src/ on the path."""
     script = f"import sys; sys.path.insert(0, {str(SRC)!r})\nimport stefan3\n{code}"

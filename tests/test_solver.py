@@ -36,7 +36,7 @@ from stefan3 import (
 )
 from stefan3.solver import _FRONT_BAND, phase_profile
 from _reference import h_func
-from conftest import PROPS, TEMPS
+from conftest import FLOAT_RANGE_CASES, PROPS, TEMPS
 import _expected as E
 
 
@@ -673,3 +673,32 @@ def test_a_phase_2_span_that_rounds_to_zero_is_unresolved():
         with pytest.raises(RootFailure) as exc:
             field()
         assert exc.value.reason == "unresolved"
+
+
+def _float_range_context(case):
+    override, bc = FLOAT_RANGE_CASES[case]
+    return ProblemContext(PROPS._replace(**override), TEMPS, bc)
+
+
+@pytest.mark.parametrize("case, stage", [("robin_law", solve),
+                                         ("thresholds", thresholds)])
+def test_a_divisor_that_rounds_to_zero_is_unresolved(case, stage):
+    with pytest.raises(RootFailure) as exc:
+        stage(_float_range_context(case))
+    assert exc.value.reason == "unresolved"
+
+
+def test_phase_1_reads_its_front_value_where_eta_rounds_below_coef1():
+    from stefan3.solver import _phase_excess
+
+    sol = solve(_float_range_context("phase1_kernel"))
+    assert specfun.erfc(sol.coef1) == 0.0
+    solid = TEMPS.C - TEMPS.D
+    for t in (1.0, 7.3):
+        d = 2.0 * math.sqrt(sol.ctx.alpha1 * t)
+        xs = [d * sol.coef1 * (1.0 + k * 1e-16) for k in range(-3, 4)]
+        below = [x for x in xs if x / d < sol.coef1]
+        assert below
+        assert _phase_excess(sol, 1, t, below) == pytest.approx(
+            [solid] * len(below), rel=1e-14)
+    assert isinstance(full_report(sol).passes, bool)  # and the report runs

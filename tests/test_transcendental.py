@@ -50,6 +50,12 @@ def test_a_new_context_holds_every_material_constant():
         assert ctx.sigma2 == math.sqrt(ctx.alpha1 / ctx.alpha2)
 
 
+def test_inner_coefficient_far_below_z0_is_refused(ctx_robin):
+    # at z = 0 the complementary tail erfc(0) + u is 2 or more
+    with pytest.raises(ValueError, match=r"h\(z\) < -1"):
+        coef2_from_coef1(0.0, ctx_robin)
+
+
 def test_scalar_values_match_reference(ctx_robin, ctx_dirichlet, ctx_neumann):
     assert phi(1.0, ctx_robin) == pytest.approx(E.PHI_AT_1, rel=1e-13)
     assert h_func(0.0, ctx_robin) == pytest.approx(E.H_AT_ZERO, rel=1e-13)

@@ -9,8 +9,10 @@ import pytest
 from stefan3 import (
     Dirichlet,
     Neumann,
+    ProblemContext,
     ResidualReport,
     Robin,
+    RootFailure,
     far_field_residual,
     full_report,
     heat_residual,
@@ -31,6 +33,7 @@ from stefan3.verify import (
     INTERFACE_TOL,
     STEFAN_TOL,
 )
+from conftest import FLOAT_RANGE_CASES, PROPS, TEMPS
 import _expected as E
 import _reference as ref
 from _random_sets import make_sets, wide_sets
@@ -405,3 +408,13 @@ def test_data_near_the_upper_thresholds_and_large_data_pass_heat(ctx_plain):
         rep = full_report(solve(ctx_plain.with_bc(bc)))
         assert max(rep.heat.values()) < 4.0 * EPS, (bc, rep.heat)
         assert not [f for f in rep.failures() if f.startswith("heat")]
+
+
+def test_a_heat_window_that_collapses_is_unresolved():
+    override, bc = FLOAT_RANGE_CASES["heat_window"]
+    sol = solve(ProblemContext(PROPS._replace(**override), TEMPS, bc))
+    assert sol.coef1 + 3.0 == sol.coef1  # phase 1's window has no width
+    for check in (heat_residual, full_report):
+        with pytest.raises(RootFailure) as exc:
+            check(sol)
+        assert exc.value.reason == "unresolved"

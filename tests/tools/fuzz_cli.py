@@ -16,8 +16,10 @@ Prints one line per outcome with its count: the stage the draw ended in
 the limit), and the ``file:line`` of the innermost frame outside this
 tool where it was raised or, for a timeout, where the limit struck.
 Exits 1 when some draw ended in anything but a documented error
-(``stefan3.errors``), else 0.  Runs on ``src/`` of the checkout holding
-this file.
+(``stefan3.errors``), else 0: at the default 1,500 draws it exits 0 on
+each of seeds 1 to 10, where a divisor that floating point leaves at 0
+ends in ``RootFailure("unresolved")``.  Runs on ``src/`` of the checkout
+holding this file.
 """
 
 from __future__ import annotations
