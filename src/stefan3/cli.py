@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Commands read a JSON config file and write deterministic JSON to stdout
-(CSV files for ``map``).  Diagnostics go to stderr only, controlled by the
-STEFAN3_LOG environment variable (quiet, info, debug; only the last two
-import ``logging``).  A warning prints as one line, ``Category: message``.
+(CSV files for ``map``), and nothing else: stderr carries only the
+message of a nonzero exit and warnings, each warning on one line,
+``Category: message``.
 
 Exit codes:
     0  success
-    1  invalid input (config schema, physical invariants, usage or a
-       verify perturbation)
+    1  invalid input (config schema, physical invariants or usage)
     2  boundary datum outside the three-phase regime
     3  root search failure
     4  a mapping hypothesis inequality failed
@@ -22,9 +21,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-import types
 import warnings
 from typing import Optional
 
@@ -37,10 +34,7 @@ from .errors import (
 )
 from .model import _BOUNDARY_KINDS, Violation, load_config
 from .transcendental import ProblemContext
-from .solver import _grid, _resolvable, free_boundaries, perturbed, solve, thresholds
-
-
-log = _QUIET = types.SimpleNamespace(debug=lambda *a: None, info=lambda *a: None)
+from .solver import _grid, _resolvable, free_boundaries, solve, thresholds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,15 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
+    def command(name, handler, help):
+        # main calls the handler of the command parsed
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON problem description")
         return p
 
-    with_config(sub.add_parser("solve", help="solve and print the solution"))
-    with_config(sub.add_parser("thresholds", help="print regime thresholds"))
+    command("solve", cmd_solve, "solve and print the solution")
+    command("thresholds", cmd_thresholds, "print regime thresholds")
 
-    p = with_config(sub.add_parser("equiv", help="map to another boundary kind"))
+    p = command("equiv", cmd_equiv, "map to another boundary kind")
     p.add_argument("--to", required=True,
                    choices=tuple(_BOUNDARY_KINDS),
                    help="target boundary kind")
@@ -78,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bulk temperature for mappings onto a convective "
                    "condition")
 
-    p = with_config(sub.add_parser("map", help="write temperature field CSV"))
+    p = command("map", cmd_map, "write temperature field CSV")
     p.add_argument("--out", required=True, metavar="PATH", help="output CSV")
     p.add_argument("--xmax", type=float, default=None,
                    help="largest x (default: twice the outer front at tmax)")
@@ -86,25 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=200, help="x samples")
     p.add_argument("--nt", type=int, default=200, help="t samples")
 
-    p = with_config(sub.add_parser("verify", help="run residual checks"))
-    p.add_argument("--perturb", type=float, default=None,
-                   help=argparse.SUPPRESS)
+    command("verify", cmd_verify, "run residual checks")
 
     return parser
-
-
-def _setup_logging() -> None:
-    global log
-    level = os.environ.get("STEFAN3_LOG", "quiet").strip().upper()
-    log = _QUIET  # any other value is quiet, as nothing logs above info
-    if level in ("INFO", "DEBUG"):
-        import logging
-
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        log = logging.getLogger("stefan3")
-        log.handlers[:] = [handler]
-        log.setLevel(level)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -116,22 +97,16 @@ def _emit(obj: dict) -> None:
 
 
 def _context(path: str) -> ProblemContext:
-    props, temps, bc = load_config(path)
-    log.debug("config %s parsed: bc=%r", path, bc)
-    return ProblemContext(props, temps, bc)
+    return ProblemContext(*load_config(path))
 
 
 def cmd_solve(args) -> int:
-    sol = solve(_require_bc(_context(args.config)))
-    log.info("solved %s problem: coef1=%r coef2=%r", sol.kind, sol.coef1,
-             sol.coef2)
-    _emit(sol.to_dict())
+    _emit(solve(_require_bc(_context(args.config))).to_dict())
     return 0
 
 
 def cmd_thresholds(args) -> int:
-    ctx = _context(args.config)
-    _emit(thresholds(ctx).to_dict())
+    _emit(thresholds(_context(args.config)).to_dict())
     return 0
 
 
@@ -140,8 +115,6 @@ def cmd_equiv(args) -> int:
     from .equivalence import mapping
 
     rep = mapping(_require_bc(_context(args.config)), args.to, a_inf=args.a_inf)
-    log.info("mapped %s -> %s: %s=%r", rep.source_kind, rep.target_kind,
-             rep.datum_name, rep.mapped_value)
     _emit(rep.to_dict())
     return 0
 
@@ -196,41 +169,22 @@ def cmd_map(args) -> int:
             cells[2::4] = map(repr, row)
             fh.write("".join(cells))
             fronts_rows.append(f"{t_cell}{x2!r},{x1!r}\n")
-    fronts = _fronts_path(args.out)
-    with open(fronts, "w", encoding="utf-8", newline="") as fh:
+    with open(_fronts_path(args.out), "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(fronts_rows))
-    log.info("wrote %d rows to %s and %d rows to %s", nx * nt, args.out, nt,
-             fronts)
     return 0
 
 
 def cmd_verify(args) -> int:
     sol = solve(_require_bc(_context(args.config)))
-    if args.perturb is not None:
-        log.info("perturbing both coefficients by %r", args.perturb)
-        sol = perturbed(sol, args.perturb, args.perturb)
     from .verify import full_report
 
     rep = full_report(sol)
     _emit(rep.to_dict())
-    if not rep.passes:
-        log.info("verification failed: %s", ", ".join(rep.failures()))
-        return 6
-    return 0
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "thresholds": cmd_thresholds,
-    "equiv": cmd_equiv,
-    "map": cmd_map,
-    "verify": cmd_verify,
-}
+    return 0 if rep.passes else 6
 
 
 def main(argv: Optional[list] = None) -> int:
     """Entry point; returns the process exit code."""
-    _setup_logging()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
@@ -238,7 +192,7 @@ def main(argv: Optional[list] = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return _COMMANDS[args.command](args)
+            return args.handler(args)
         except (ValidationError, MissingBoundaryDatum) as exc:
             if isinstance(exc, ValidationError):
                 for v in exc.violations:

@@ -41,8 +41,9 @@ class RootFailure(Exception):
     convective law's h0*sqrt(pi*alpha3), the threshold q2's
     sqrt(pi*alpha2)*erf(z0*sigma2), coef2*sigma3 after a solve, phase 2's
     span erf(coef1*sigma2) - erf(coef2*sigma2) when the field is first
-    evaluated, or the width of the heat check's phase-1 window [coef1,
-    coef1 + 3].
+    evaluated, the width of the heat check's phase-1 window [coef1,
+    coef1 + 3], the largest |value| of a phase's field in the heat check,
+    or both sides of an energy balance in the stefan check.
     """
 
     def __init__(self, reason: str, message: str):

@@ -55,6 +55,17 @@ HEAT_SAMPLES = 50
 HEAT_TIMES = (1.0, 7.3)
 
 
+def _relative(deviation: float, scale: float, where: str) -> float:
+    """deviation / scale, where scale is a residual's largest magnitude.
+
+    Raises RootFailure("unresolved") where floating point leaves scale at 0:
+    every value the residual compares then reads 0.
+    """
+    if scale == 0.0:
+        raise RootFailure("unresolved", f"{where} reads 0 in floating point")
+    return deviation / scale
+
+
 def heat_residual(sol: ThreePhaseSolution) -> dict[str, float]:
     """Largest departure of each phase's field from its affine form in erf.
 
@@ -69,7 +80,8 @@ def heat_residual(sol: ThreePhaseSolution) -> dict[str, float]:
     the outer front to three diffusion lengths past it, where its excess
     has decayed by at least e^-9, and takes f as erfc(eta)/erfc(coef1) in
     the ratio form that stays finite where erfc underflows.  Raises
-    RootFailure("unresolved") where coef1 + 3 rounds to coef1.
+    RootFailure("unresolved") where coef1 + 3 rounds to coef1, or where a
+    phase's kernel reads 0 at every sample.
     """
     c, k1 = sol.ctx, sol.coef1
     inv1 = specfun._inv_erfcx(k1)
@@ -94,9 +106,11 @@ def heat_residual(sol: ThreePhaseSolution) -> dict[str, float]:
         if fs[-1] == f0:  # phase 1's window [coef1, coef1 + 3] collapsed
             raise RootFailure("unresolved", f"eta window [{lo!r}, {hi!r}] has no width")
         b = (rows[0][-1] - v0) / (fs[-1] - f0)
-        out[f"phase{phase}"] = max(
-            abs(v - v0 - b * (f - f0)) for row in rows for v, f in zip(row, fs)
-        ) / max(abs(v) for row in rows for v in row)
+        out[f"phase{phase}"] = _relative(
+            max(abs(v - v0 - b * (f - f0))
+                for row in rows for v, f in zip(row, fs)),
+            max(abs(v) for row in rows for v in row),
+            f"phase {phase}'s field")
     return out
 
 
@@ -144,7 +158,8 @@ def stefan_residual(sol: ThreePhaseSolution) -> dict[str, float]:
 
     The balance equates the jump in conductive flux across a front to the
     latent heat absorbed by its motion; all terms scale as 1/sqrt(t), so
-    the relative residual is time-independent.
+    the relative residual is time-independent.  Raises
+    RootFailure("unresolved") where both sides of a balance read 0.
     """
     p = sol.ctx.props
     g1, g2_at_1, g2_at_2, g3 = _gradients_at(sol)
@@ -154,7 +169,8 @@ def stefan_residual(sol: ThreePhaseSolution) -> dict[str, float]:
         ("front2", p.k2 * g2_at_2 - p.k3 * g3, p.rho * p.l2 * sol.coef2 * rate),
     )
     return {
-        key: abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+        key: _relative(abs(lhs - rhs), max(abs(lhs), abs(rhs)),
+                       f"the energy balance at {key}")
         for key, lhs, rhs in balances
     }
 

@@ -5,7 +5,6 @@ path, since the test process itself has long since imported everything.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,27 +17,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WATCHED = ("logging", "stefan3.equivalence", "stefan3.verify", "stefan3.cli")
 
 
-def run_fresh(code, report, log=None):
+def run_fresh(code, report):
     """The JSON value of the expression ``report`` after ``code`` runs."""
     script = "\n".join([
         f"import json, sys; sys.path.insert(0, {str(SRC)!r})",
         code,
         f"print(json.dumps({report}))",
     ])
-    env = {k: v for k, v in os.environ.items() if k != "STEFAN3_LOG"}
-    if log is not None:
-        env["STEFAN3_LOG"] = log
     proc = subprocess.run(
         [sys.executable, "-I", "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_after(code, log=None):
+def loaded_after(code):
     """The WATCHED modules in sys.modules after ``code`` runs."""
-    return set(run_fresh(code, f"[m for m in {WATCHED!r} if m in sys.modules]", log))
+    return set(run_fresh(code, f"[m for m in {WATCHED!r} if m in sys.modules]"))
 
 
 # the stefan3 classes that @dataclass built, over every loaded stefan3 module
@@ -84,7 +80,6 @@ def test_solve_and_map_load_neither_equivalence_verify_nor_logging(
                  "--nx", "5", "--nt", "2"]),
     ])
     assert loaded_after(code) == {"stefan3.cli"}
-    assert loaded_after(code, log="quiet") == {"stefan3.cli"}
 
 
 @pytest.mark.parametrize("argv, module", [
@@ -94,9 +89,3 @@ def test_solve_and_map_load_neither_equivalence_verify_nor_logging(
 def test_each_command_loads_its_own_layer(config, argv, module):
     assert loaded_after(cli_run(argv + ["--config", config])) == {
         "stefan3.cli", module}
-
-
-@pytest.mark.parametrize("log", ["info", "debug"])
-def test_verbose_logging_loads_logging(config, log):
-    code = cli_run(["solve", "--config", config])
-    assert loaded_after(code, log=log) == {"stefan3.cli", "logging"}

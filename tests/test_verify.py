@@ -418,3 +418,19 @@ def test_a_heat_window_that_collapses_is_unresolved():
         with pytest.raises(RootFailure) as exc:
             check(sol)
         assert exc.value.reason == "unresolved"
+
+
+@pytest.mark.parametrize("case, check, where", [
+    ("stefan_balance", stefan_residual, "the energy balance at front1"),
+    ("heat_scale", heat_residual, "phase 1's field"),
+])
+def test_a_residual_whose_every_value_reads_zero_is_unresolved(case, check, where):
+    # each divided 0 by 0 (the balance) or by 0 (the heat fit): the solve
+    # succeeds, and the report names what floating point left at 0
+    override, bc = FLOAT_RANGE_CASES[case]
+    sol = solve(ProblemContext(PROPS._replace(**override), TEMPS, bc))
+    for run in (check, full_report):
+        with pytest.raises(RootFailure) as exc:
+            run(sol)
+        assert exc.value.reason == "unresolved"
+        assert str(exc.value).startswith(where)

@@ -61,7 +61,7 @@ def main() -> None:
     commands = args.commands or ["solve"]
 
     base_env = {k: v for k, v in os.environ.items()
-                if k not in ("PYTHONPATH", "STEFAN3_LOG", "PYTHONWARNINGS")}
+                if k not in ("PYTHONPATH", "PYTHONWARNINGS")}
     envs = [{**base_env, "PYTHONPATH": str(root.resolve() / "src")}
             for root in roots]
     bare = []

@@ -17,7 +17,7 @@ the limit), and the ``file:line`` of the innermost frame outside this
 tool where it was raised or, for a timeout, where the limit struck.
 Exits 1 when some draw ended in anything but a documented error
 (``stefan3.errors``), else 0: at the default 1,500 draws it exits 0 on
-each of seeds 1 to 10, where a divisor that floating point leaves at 0
+each of seeds 1 to 300, where a divisor that floating point leaves at 0
 ends in ``RootFailure("unresolved")``.  Runs on ``src/`` of the checkout
 holding this file.
 """
