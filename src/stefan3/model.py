@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional, Union
@@ -207,7 +208,7 @@ def material_constants(props: MaterialProperties, temps: PhaseTemps) -> Optional
     must be finite and positive, with B > C > D.
     """
     # chained comparisons, which a NaN fails, and no helper calls: validate
-    # and ProblemContext each run this once per context
+    # runs this once per context, which keeps what it returns
     p, inf = props, math.inf
     if not (0.0 < p.rho * p.c1 < inf and 0.0 < p.rho * p.c2 < inf
             and 0.0 < p.rho * p.c3 < inf and 0.0 < p.k1 * p.c2 < inf):
@@ -253,19 +254,24 @@ def validate(
     props: MaterialProperties,
     temps: PhaseTemps,
     bc: Optional[BoundarySpec] = None,
+    into: Optional[dict] = None,
 ) -> list[Violation]:
     """Check every model invariant and return the violations found.
 
     An empty list means the data describes a well-posed problem.  When the
     two liquid diffusivities are exactly equal the data is still accepted,
-    but a DiffusivityWarning is emitted because the solvability theory
-    requires alpha2 >= alpha3 with strict inequality.
+    but a DiffusivityWarning is emitted, attributed to the first caller
+    outside this package, because the solvability theory requires alpha2
+    >= alpha3 with strict inequality.
 
     Args:
         props: Material constants.
         temps: Characteristic temperatures.
         bc: Optional boundary datum; when given, its own constraints are
             checked too (see datum_violations).
+        into: Optional dict that receives the material_constants the check
+            derives, once the material passes (ProblemContext passes its
+            instance dict, and so keeps them).
 
     Returns:
         List of Violation records, empty when valid.
@@ -275,10 +281,9 @@ def validate(
     if not all(map(math.isfinite, [*props, *temps])) or _NOT_FINITE in datum:
         return [_NOT_FINITE]
 
-    out: list[Violation] = []
-    for f in _FIELD_NAMES[MaterialProperties]:
-        if getattr(props, f) <= 0.0:
-            out.append(Violation("PROPS_NOT_POSITIVE", f"{f} must be > 0"))
+    out = [] if min(props) > 0.0 else [
+        Violation("PROPS_NOT_POSITIVE", f"{f} must be > 0")
+        for f, value in zip(props._fields, props) if value <= 0.0]
 
     if not temps.B > temps.C > temps.D:
         out.append(
@@ -301,21 +306,21 @@ def validate(
                 "alpha2 == alpha3: solvability is only established for "
                 "alpha2 > alpha3",
                 DiffusivityWarning,
-                stacklevel=2,
+                stacklevel=_outside_level(),
             )
+        if constants is not None and into is not None:
+            into.update(constants)
 
     return out + datum
 
 
-def require_valid(
-    props: MaterialProperties,
-    temps: PhaseTemps,
-    bc: Optional[BoundarySpec] = None,
-) -> None:
-    """Raise ValidationError when validate() reports anything."""
-    violations = validate(props, temps, bc)
-    if violations:
-        raise ValidationError(violations)
+def _outside_level() -> int:
+    # warnings.warn's stacklevel, for the function calling this, that names
+    # the first frame outside this package: the line that built a context
+    frame, level = sys._getframe(2), 2
+    while frame.f_back and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def require_bulk(a_inf: float, floor: float, code: str, message: str) -> None:
@@ -335,6 +340,8 @@ def _as_number(obj: dict, key: str) -> float:
         raise ValidationError(
             [Violation("MISSING_FIELD", f"config field {key!r} is required")]
         ) from None
+    if type(value) is float:  # as json.loads gives every non-integer
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(
             [Violation("BAD_FIELD_TYPE", f"config field {key!r} must be a number")]
@@ -351,7 +358,7 @@ _BOUNDARY_KINDS = {cls.kind: cls for cls in (Robin, Dirichlet, Neumann)}
 
 def _from_fields(cls, obj: dict):
     # an instance of the record class cls, each field read from obj as a number
-    return cls(*(_as_number(obj, name) for name in _FIELD_NAMES[cls]))
+    return cls(*[_as_number(obj, name) for name in _FIELD_NAMES[cls]])
 
 
 def boundary_from_dict(obj: dict) -> BoundarySpec:

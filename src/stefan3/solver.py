@@ -90,25 +90,16 @@ def thresholds(ctx: ProblemContext, a_inf: Optional[float] = None) -> Thresholds
         RootFailure: "unresolved" when q2's divisor sqrt(pi*alpha2)*
             erf(z0*sigma2) is 0 in floating point (z0 rounds to 0).
     """
-    p, t = ctx.props, ctx.temps
-    a1, a2, _ = ctx.alphas
-    z0 = ctx.z0
-
-    q1 = p.k1 * (t.C - t.D) / math.sqrt(math.pi * a1)
-    g = math.sqrt(a2 * math.pi) * ctx._erf_z0  # 0 where z0 rounds to 0
-    if not g > 0.0:
-        raise RootFailure("unresolved", f"q2's divisor is {g!r} at z0 = {z0!r}")
-    q2 = p.k2 * (t.B - t.C) / g
-
+    z0, q1, q2 = ctx._thresholds  # once per material, inherited by with_bc
     if a_inf is None:
         a_inf = getattr(ctx.bc, "A_inf", None)
     if a_inf is None:
-        return Thresholds(z0=z0, q1=q1, q2=q2)
+        return Thresholds(z0, q1, q2)
+    t = ctx.temps
     require_bulk(a_inf, t.B, "BULK_NOT_ABOVE_B", "bulk temperature must exceed B")
     # the flux thresholds read through the convective law q = h*(A_inf - T(0))
     # at the surface temperatures C and B where each regime starts
-    h1, h2 = q1 / (a_inf - t.C), q2 / (a_inf - t.B)
-    return Thresholds(z0=z0, q1=q1, q2=q2, h1=h1, h2=h2)
+    return Thresholds(z0, q1, q2, q1 / (a_inf - t.C), q2 / (a_inf - t.B))
 
 
 def classify_regime(ctx: ProblemContext) -> Regime:
@@ -268,7 +259,7 @@ def _outer_bracket(ctx: ProblemContext) -> float:
 def _solved(ctx: ProblemContext, coef1: float, coef2: float) -> ThreePhaseSolution:
     # the solution of a front pair, recorded weakly on the context for solve()
     sol = ThreePhaseSolution(ctx, coef1, coef2)
-    object.__setattr__(ctx, "_solution", weakref.ref(sol))
+    vars(ctx)["_solution"] = weakref.ref(sol)
     return sol
 
 

@@ -45,8 +45,7 @@ from .model import (
     _SQRT_PI,
     _Frozen,
     datum_violations,
-    material_constants,
-    require_valid,
+    validate,
 )
 
 __all__ = ["ProblemContext", "find_root_monotone"]
@@ -83,19 +82,21 @@ class ProblemContext(_Frozen):
     """Validated, immutable bundle of one problem's data.
 
     Construction runs the full model validation, so any context that exists
-    describes a well-posed problem, and then sets the material constants
-    of ``model.material_constants``, each finite and positive.
-    The zero ``z0``, the one constant that needs a search, is computed on
-    first use and cached; ``solution`` is the solver's result, held weakly.
+    describes a well-posed problem, and keeps the material constants of
+    ``model.material_constants`` that the validation derived, each finite
+    and positive.  The zero ``z0``, the one constant that needs a search,
+    and the material's flux thresholds are computed on first use and
+    cached; ``solution`` is the solver's result, held weakly.
     """
 
     _fields = ("props", "temps", "bc")
 
     def __init__(self, props: MaterialProperties, temps: PhaseTemps,
                  bc: Optional[BoundarySpec] = None):
-        require_valid(props, temps, bc)
-        vars(self).update(props=props, temps=temps, bc=bc,
-                          **material_constants(props, temps))
+        violations = validate(props, temps, bc, vars(self))
+        if violations:
+            raise ValidationError(violations)
+        vars(self).update(props=props, temps=temps, bc=bc)
 
     @_cached
     def z0(self) -> float:
@@ -103,10 +104,15 @@ class ProblemContext(_Frozen):
         return find_root_monotone(_h_kernel(self), 0.0)
 
     @_cached
-    def _erf_z0(self) -> float:
-        # the phase-2 profile at z0, a factor of the critical flux q2 only;
-        # everything else that depends on it reads q2
-        return specfun.erf(self.z0 * self.sigma2)
+    def _thresholds(self) -> tuple[float, float, float]:
+        # (z0, q1, q2), the material's part of solver.thresholds; q2 divides
+        # by sqrt(pi*alpha2)*erf(z0*sigma2), 0 where z0 rounds to 0
+        p, t, z0 = self.props, self.temps, self.z0
+        g = math.sqrt(self.alpha2 * math.pi) * specfun.erf(z0 * self.sigma2)
+        if not g > 0.0:
+            raise RootFailure("unresolved", f"q2's divisor is {g!r} at z0 = {z0!r}")
+        return (z0, p.k1 * (t.C - t.D) / math.sqrt(math.pi * self.alpha1),
+                p.k2 * (t.B - t.C) / g)
 
     # the solver's ThreePhaseSolution, which refers back to this context,
     # held weakly so that the pair is freed without the cycle collector
@@ -122,8 +128,8 @@ class ProblemContext(_Frozen):
 
         Only the new datum is checked, against this already valid material:
         an invalid one raises the ValidationError a fresh context would.
-        The new context inherits the material constants, and z0 once this
-        one has computed it, and no solution.
+        The new context inherits the material constants, and z0 and the
+        flux thresholds once this one has computed them, and no solution.
         """
         violations = datum_violations(self.temps, bc)
         if violations:

@@ -223,12 +223,13 @@ class ResidualReport:
     far_field: float
 
     def failures(self) -> list[str]:
+        # a residual fails unless it is at most its tolerance, so NaN fails
         out = []
         for check, tol in TOLERANCES.items():
             value = getattr(self, check)
             if isinstance(value, dict):
-                out += [f"{check}:{k}" for k, v in value.items() if v > tol]
-            elif value > tol:
+                out += [f"{check}:{k}" for k, v in value.items() if not v <= tol]
+            elif not value <= tol:
                 out.append(check)
         return out
 

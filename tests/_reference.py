@@ -10,7 +10,8 @@ that the fused kernels' values equal them bit for bit and that their
 slopes match the 60-digit derivatives of the same formulas in mpmath,
 ``h_tail_mp`` (1 - h) and ``law_residual_mp``.
 ``h2_star_gap`` is the paper's saturating ratio whose zero is h2*, which
-``equivalence.h2_star`` reads in closed form.
+``equivalence.h2_star`` reads in closed form.  ``threshold_values`` is
+``solver.thresholds`` computed afresh on each call, with nothing cached.
 
 The paper writes each kind's equation with its own right-hand side:
 ``t_func`` (convective, composed with the inner match as ``u_func``),
@@ -195,11 +196,26 @@ def h2_star_gap(ctx, a_inf):
     """
     p, t = ctx.props, ctx.temps
     num_coef = (
-        p.k3 * (a_inf - t.B) * math.sqrt(math.pi * ctx.alpha2) * ctx._erf_z0
+        p.k3 * (a_inf - t.B) * math.sqrt(math.pi * ctx.alpha2)
+        * specfun.erf(ctx.z0 * ctx.sigma2)
     )
     den_coef = p.k2 * (t.B - t.C)
     root_pi_a3 = math.sqrt(math.pi * ctx.alpha3)
     return lambda h: num_coef * h / (den_coef * (p.k3 + h * root_pi_a3)) - 1.0
+
+
+def threshold_values(ctx, a_inf=None):
+    """(z0, q1, q2, h1, h2) of ctx, the convective pair None without a bulk."""
+    p, t = ctx.props, ctx.temps
+    a1, a2, _ = ctx.alphas
+    q1 = p.k1 * (t.C - t.D) / math.sqrt(math.pi * a1)
+    q2 = p.k2 * (t.B - t.C) / (
+        math.sqrt(a2 * math.pi) * specfun.erf(ctx.z0 * ctx.sigma2))
+    if a_inf is None:
+        a_inf = getattr(ctx.bc, "A_inf", None)
+    if a_inf is None:
+        return ctx.z0, q1, q2, None, None
+    return ctx.z0, q1, q2, q1 / (a_inf - t.C), q2 / (a_inf - t.B)
 
 
 def _datum(ctx, kind):

@@ -1,5 +1,7 @@
 """Input model: validation codes, JSON round trips, derived numbers."""
 
+import dataclasses
+import inspect
 import json
 import math
 
@@ -80,6 +82,32 @@ def test_derived_constant_out_of_float_range_rejected(override):
 def test_equal_diffusivities_warn_but_pass():
     with pytest.warns(DiffusivityWarning):
         assert validate(PROPS, TEMPS) == []
+
+
+def test_diffusivity_warning_names_the_callers_line():
+    # the benchmark material has alpha2 == alpha3
+    line = inspect.currentframe().f_lineno
+    with pytest.warns(DiffusivityWarning) as record:
+        ProblemContext(PROPS, TEMPS, ROBIN)
+        validate(PROPS, TEMPS)
+    assert [(w.filename, w.lineno) for w in record] == [
+        (__file__, line + 2), (__file__, line + 3)]
+
+
+def test_material_constants_run_once_per_context(monkeypatch):
+    from stefan3 import model, transcendental
+
+    calls = []
+    derive = model.material_constants
+    for module in (model, transcendental):  # each name bound to it
+        if getattr(module, "material_constants", None) is derive:
+            monkeypatch.setattr(module, "material_constants",
+                                lambda *a: calls.append(a) or derive(*a))
+    ctx = ProblemContext(PROPS, TEMPS, ROBIN)
+    assert calls == [(PROPS, TEMPS)]
+    heir = ctx.with_bc(Neumann(q0=300.0))
+    assert len(calls) == 1 and heir.alphas is ctx.alphas
+    assert {k: getattr(ctx, k) for k in derive(PROPS, TEMPS)} == derive(PROPS, TEMPS)
 
 
 def test_non_finite_rejected():
@@ -188,6 +216,59 @@ def test_config_reports_the_first_missing_field(kind, missing, first):
     assert [(v.code, v.message) for v in exc.value.violations] == [
         ("MISSING_FIELD", f"config field {first!r} is required")
     ]
+
+
+class _Float(float):
+    """A float subclass, which a config reads as the exact float it holds."""
+
+
+def _parsed_number(value):
+    # config_from_dict's reading of one present field: a float, or the code
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "BAD_FIELD_TYPE"
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+@pytest.mark.parametrize(
+    "value", [0.25, -0.0, math.nan, math.inf, _Float(0.25), 2, 0, -7,
+              10**400, -10**400, True, False, None, "0.2", [0.2]],
+    ids=repr)
+@pytest.mark.parametrize("field", ["k1", "D", "boundary.h0", "boundary.A_inf"])
+def test_config_reads_each_number_as_float_does(field, value):
+    obj = benchmark_config("robin")
+    section, _, name = field.rpartition(".")
+    (obj[section] if section else obj)[name] = value
+    want = _parsed_number(value)
+    if want == "BAD_FIELD_TYPE":
+        with pytest.raises(ValidationError) as exc:
+            config_from_dict(obj)
+        assert [(v.code, v.message) for v in exc.value.violations] == [
+            (want, f"config field {name!r} must be a number")]
+        return
+
+    def fields(props, temps, bc):
+        return {**props._asdict(), **temps._asdict(), **dataclasses.asdict(bc)}
+
+    got = fields(*config_from_dict(obj))
+    assert all(type(v) is float for v in got.values())
+    assert repr(got.pop(name)) == repr(want)
+    default = fields(*config_from_dict(benchmark_config("robin")))
+    assert got == {k: v for k, v in default.items() if k != name}
+
+
+@pytest.mark.parametrize("field", ["k1", "D", "boundary.h0"])
+def test_config_reports_a_missing_field_after_numbers_of_each_type(field):
+    obj = benchmark_config("robin")
+    obj.update(k2=2, k3=10**400, c1=0.5)
+    section, _, name = field.rpartition(".")
+    del (obj[section] if section else obj)[name]
+    with pytest.raises(ValidationError) as exc:
+        config_from_dict(obj)
+    assert [(v.code, v.message) for v in exc.value.violations] == [
+        ("MISSING_FIELD", f"config field {name!r} is required")]
 
 
 @pytest.mark.parametrize("kind", [None, ["robin"], {"robin": 1}, 1.0, "Robin"])

@@ -112,6 +112,42 @@ def test_convective_thresholds_are_the_flux_thresholds_through_the_law():
         assert th.h2 == pytest.approx(h2, rel=1e-15)
 
 
+def test_thresholds_equal_their_formula_on_fresh_contexts_and_heirs():
+    # the cached (z0, q1, q2) and the h1, h2 derived from them equal the
+    # formula worked afresh, to the bit, whoever computed the cache
+    from _random_sets import wide_sets
+    from _reference import threshold_values
+
+    def bits(values):
+        return [None if v is None else v.hex() for v in values]
+
+    for s in wide_sets(30):
+        ctx, a_inf = s["ctx"], s["robin"].A_inf
+        fresh = ProblemContext(ctx.props, ctx.temps, s["robin"])
+        contexts = [fresh, ctx, *(ctx.with_bc(s[kind]) for kind in
+                                  ("robin", "dirichlet", "neumann"))]
+        for c in contexts:
+            for bulk in (None, a_inf):
+                assert bits(thresholds(c, bulk)) == bits(threshold_values(c, bulk))
+
+
+def test_heirs_inherit_the_material_thresholds(searches, monkeypatch):
+    ctx = ProblemContext(PROPS, TEMPS)
+    early = ctx.with_bc(Neumann(q0=300.0))  # made before ctx computes them
+    th = thresholds(ctx)
+    heir = ctx.with_bc(Robin(h0=100.0, A_inf=334.0))
+    calls = []
+    erf = specfun.erf
+    monkeypatch.setattr(specfun, "erf", lambda x: calls.append(x) or erf(x))
+    assert vars(heir)["_thresholds"] is vars(ctx)["_thresholds"]
+    assert thresholds(heir)[:3] == th[:3] and calls == []
+    assert [kind for kind, _ in searches] == ["z0"]
+    # an heir made earlier computes its own, after a z0 search of its own
+    assert "_thresholds" not in vars(early)
+    assert thresholds(early) == th and calls[-1] == early.z0 * early.sigma2
+    assert [kind for kind, _ in searches] == ["z0", "z0"]
+
+
 def test_thresholds_reject_bad_bulk(ctx_plain):
     with pytest.raises(ValidationError):
         thresholds(ctx_plain, a_inf=TEMPS.B)
@@ -374,12 +410,12 @@ def test_with_bc_inherits_z0_and_still_validates(bc, searches, monkeypatch):
     spy(model, "stefan_numbers")
     ctx = ProblemContext(PROPS, TEMPS)
     material = ("alphas", "ste1", "ste2", "sigma2", "sigma3", "_h_offset_coef",
-                "z0", "_erf_z0")
+                "z0", "_thresholds")
     values = [getattr(ctx, name) for name in material]
     q2 = thresholds(ctx).q2
-    # validate's range and order checks, then the constants the context keeps,
-    # each with one stefan_numbers call for both numbers
-    assert calls == ["diffusivities", "stefan_numbers"] * 2
+    # validate's range and order checks derive the constants the context
+    # keeps, with one stefan_numbers call for both numbers
+    assert calls == ["diffusivities", "stefan_numbers"]
     assert [kind for kind, _ in searches] == ["z0"]  # the fixture sees z0's search
     spy(specfun, "erf")
     try:
@@ -396,7 +432,7 @@ def test_with_bc_inherits_z0_and_still_validates(bc, searches, monkeypatch):
         heir = ctx.with_bc(bc)
     assert heir == fresh and heir.solution is None
     # the heir recomputes nothing: no diffusivities, Stefan numbers,
-    # erf(z0*sigma2) or z0 search of its own
+    # thresholds q1 and q2, erf(z0*sigma2) or z0 search of its own
     assert [getattr(heir, name) for name in material] == values
     assert thresholds(heir).q2 == q2
     assert calls == [] and len(searches) == 1

@@ -23,7 +23,12 @@ from stefan3 import (
     thresholds,
     verify,
 )
-from stefan3.solver import _phase_excess, free_boundaries, phase_profile
+from stefan3.solver import (
+    ThreePhaseSolution,
+    _phase_excess,
+    free_boundaries,
+    phase_profile,
+)
 from stefan3.verify import (
     BOUNDARY_TOL,
     FAR_FIELD_TOL,
@@ -249,6 +254,29 @@ def test_failures_name_each_offender():
         far_field=0.0,
     )
     assert rep.failures() == ["stefan:front1", "boundary"]
+
+
+def test_a_nan_residual_fails():
+    nan = math.nan
+    rep = ResidualReport(
+        heat={"phase1": nan, "phase2": 0.0},
+        interface={"front1_solid": nan},
+        stefan={"front1": 0.0},
+        boundary=nan,
+        far_field=nan,
+    )
+    assert rep.failures() == ["heat:phase1", "interface:front1_solid",
+                              "boundary", "far_field"]
+    assert not rep.passes and not rep.to_dict()["pass"]
+
+
+def test_an_infinite_outer_coefficient_fails_every_check_it_leaves_nan(sol_robin):
+    # erfc(inf) = 0 leaves phase 1 and the outer front NaN: each NaN is a failure
+    rep = full_report(ThreePhaseSolution(sol_robin.ctx, math.inf, sol_robin.coef2))
+    assert math.isnan(rep.heat["phase1"]) and math.isnan(rep.far_field)
+    assert rep.failures() == [
+        "heat:phase1", "heat:phase2", "interface:front1_solid",
+        "stefan:front1", "stefan:front2", "far_field"]
 
 
 # perturbation sizes: the check equals its point-by-point loop on wrong
